@@ -152,6 +152,7 @@ def _cmd_search(args):
         "witnesses": {p.text(): w for p, w in r.witness_assignment.items()},
         "nodes_explored": r.nodes_explored,
         "exhaustive": r.exhaustive,
+        "prunes": r.prunes,
     }
     if r.descriptors:
         payload["descriptors"] = [list(d) for d in r.descriptors]

@@ -18,13 +18,27 @@ a bipartite matching between members and witness integers exists exactly
 then, and `match_witnesses` re-derives the assignment that way as a
 cross-check.
 
-The branch-and-bound engine prunes by (a) the injectivity depth bound (at
-most ⌊n/2⌋ disjoint non-empty witness sets fit), (b) remaining-candidate
-count against the incumbent, and (c) an optional externally known family
-size seeding the incumbent (only branches that cannot reach a size known to
-exist are cut).  Feasibility filtering is not a heuristic: supersets of an
-infeasible family are infeasible.  `max_family_bruteforce` is a deliberately
-naive include/exclude oracle kept free of (a)-(c) for cross-checking.
+The branch-and-bound engine prunes by three rules, none of which can change
+the reported result (each only cuts branches that cannot beat the incumbent):
+
+  (a) capacity: every member added after vector v needs a private witness
+      inside inter & v (inter: the bits common to all chosen vectors), and
+      witness sets are disjoint, so a child can reach at most
+      len(chosen) + 1 + popcount(inter & v) members; it is skipped when
+      that is <= the incumbent size.  Evaluated per child, against the
+      current incumbent.  Its root case bounds every family by
+      popcount(universe) (⌊n/2⌋ for masks), so no separate depth cap is
+      needed.
+  (b) remaining: fewer candidates left than needed to beat the incumbent.
+  (c) seeding: an optional externally known family size starts the
+      incumbent one below it (only branches that cannot reach a size known
+      to exist are cut).
+
+`iter_families` applies (a) and (b) against the requested size instead of
+an incumbent.  Feasibility filtering is not a heuristic: supersets of an
+infeasible family are infeasible.  `prune=False` switches (a) and (b) off, and
+`max_family_bruteforce` is a deliberately naive include/exclude oracle kept
+free of (a)-(c); both serve as cross-checks.
 
 Candidate masks are ordered by popcount then value, and the DFS explores
 index-increasing subsets, so the first optimum found is the
@@ -40,7 +54,6 @@ from .partitions import (
     DEFAULT_ENUMERATION_CAP,
     Partition,
     enumerate_partitions,
-    is_partial_sum,
     partial_sums,
     wreath_realizable,
 )
@@ -72,6 +85,7 @@ class SearchResult:
     nodes_explored: int
     exhaustive: bool
     descriptors: tuple = ()  # set by the descriptor variant only
+    prunes: dict = field(default_factory=dict)  # rule name -> times it fired
 
     def summary_row(self):
         return (self.n, self.t_max, self.nodes_explored)
@@ -137,16 +151,16 @@ class _Engine:
     (property (1)); the descriptor variant drops it.
     """
 
-    def __init__(self, vectors, universe, *, require_empty, max_depth, prune=True, seed=0):
+    def __init__(self, vectors, universe, *, require_empty, prune=True, seed=0):
         self.vectors = vectors
         self.universe = universe
         self.require_empty = require_empty
-        self.max_depth = max_depth
         self.prune = prune
         self.best_size = max(seed - 1, 0)
         self.seeded = seed > 0
         self.best = None
         self.nodes = 0
+        self.prunes = {"remaining": 0, "capacity": 0}
 
     def run(self):
         self._rec(0, [], [], self.universe)
@@ -164,20 +178,32 @@ class _Engine:
             self.best_size = len(chosen)
             self.best = (list(chosen), list(wsets))
         for k in range(start, len(self.vectors)):
-            if self.prune:
-                if len(chosen) >= self.max_depth:
-                    return
-                if len(chosen) + (len(self.vectors) - k) <= self.best_size:
-                    return
+            if self.prune and len(chosen) + (len(self.vectors) - k) <= self.best_size:
+                self.prunes["remaining"] += 1
+                return
             v = self.vectors[k]
+            common = inter & v
+            if self.prune and len(chosen) + 1 + common.bit_count() <= self.best_size:
+                self.prunes["capacity"] += 1
+                continue
             new_wsets = [w & v for w in wsets]
             fresh = inter & ~v
             if fresh == 0 or any(w == 0 for w in new_wsets):
                 continue
             new_wsets.append(fresh)
             chosen.append(k)
-            self._rec(k + 1, chosen, new_wsets, inter & v)
+            self._rec(k + 1, chosen, new_wsets, common)
             chosen.pop()
+
+
+def _witness_map(members, wsets):
+    """Each member's smallest witness, cross-checked by bipartite matching."""
+    if match_witnesses(wsets) is None:
+        raise SearchError("witness sets non-empty yet unmatchable; theorem violated")
+    witness = {members[i]: _min_bit(wsets[i]) for i in range(len(members))}
+    if len(set(witness.values())) != len(witness):
+        raise SearchError("witness sets overlap; theorem violated")
+    return witness
 
 
 def max_family(n, *, cap=DEFAULT_ENUMERATION_CAP, known_lower_bound=0, prune=True):
@@ -195,7 +221,6 @@ def max_family(n, *, cap=DEFAULT_ENUMERATION_CAP, known_lower_bound=0, prune=Tru
         [g.bits for g in groups],
         _universe(n),
         require_empty=True,
-        max_depth=n // 2,
         prune=prune,
         seed=known_lower_bound,
     )
@@ -204,18 +229,15 @@ def max_family(n, *, cap=DEFAULT_ENUMERATION_CAP, known_lower_bound=0, prune=Tru
         raise SearchError(f"no valid family at n={n}")  # size 1 always exists
     idxs, wsets = found
     members = tuple(groups[k].representatives[0] for k in idxs)
-    if match_witnesses(wsets) is None:
-        raise SearchError("witness sets non-empty yet unmatchable; theorem violated")
-    witness = {members[i]: _min_bit(wsets[i]) for i in range(len(members))}
-    assert len(set(witness.values())) == len(witness), "witness sets overlap"
     return SearchResult(
         n=n,
         t_max=len(members),
         optimal_family=members,
-        witness_assignment=witness,
+        witness_assignment=_witness_map(members, wsets),
         masks=tuple(groups[k].bits for k in idxs),
         nodes_explored=engine.nodes,
         exhaustive=True,
+        prunes=engine.prunes,
     )
 
 
@@ -239,11 +261,14 @@ def iter_families(n, size, *, cap=DEFAULT_ENUMERATION_CAP):
             if len(chosen) + (len(vectors) - k) < size:
                 return
             v = vectors[k]
+            common = inter & v
+            if len(chosen) + 1 + common.bit_count() < size:
+                continue
             new_wsets = [w & v for w in wsets]
             fresh = inter & ~v
             if fresh == 0 or any(w == 0 for w in new_wsets):
                 continue
-            yield from rec(k + 1, chosen + [k], new_wsets + [fresh], inter & v)
+            yield from rec(k + 1, chosen + [k], new_wsets + [fresh], common)
 
     yield from rec(0, [], [], universe)
 
@@ -303,9 +328,8 @@ def descriptors(n):
 
 
 def _meets(p, desc):
-    if desc[0] == "intransitive":
-        return is_partial_sum(p, desc[1])
-    return wreath_realizable(p, desc[1], desc[2])
+    _, a, b = desc
+    return wreath_realizable(p, a, b)
 
 
 DESCRIPTOR_SEARCH_CAP = 24
@@ -320,12 +344,15 @@ def max_family_intransitive_imprimitive(n, *, cap=DESCRIPTOR_SEARCH_CAP, prune=T
     if n > cap:
         raise SearchError(f"descriptor search capped at n={cap}, got {n}")
     descs = descriptors(n)
+    half = _universe(n)
+    blocks = descs[n // 2 :]
     groups = {}
     for p in enumerate_partitions(n):
-        vec = 0
-        for d, desc in enumerate(descs):
+        # descriptor d < n//2 is the intransitive size d + 1: a partial sum
+        vec = (partial_sums(p).bits & half) >> 1
+        for j, desc in enumerate(blocks):
             if _meets(p, desc):
-                vec |= 1 << d
+                vec |= 1 << (n // 2 + j)
         groups.setdefault(vec, []).append(p)
     ordered = sorted(groups.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
     vectors = [vec for vec, _ in ordered]
@@ -333,20 +360,21 @@ def max_family_intransitive_imprimitive(n, *, cap=DESCRIPTOR_SEARCH_CAP, prune=T
         vectors,
         (1 << len(descs)) - 1,
         require_empty=False,
-        max_depth=len(descs),
         prune=prune,
     )
     found = engine.run()
+    if found is None:
+        raise SearchError(f"no descriptor family at n={n}")  # size 1 always exists
     idxs, wsets = found
     members = tuple(sorted(ordered[k][1], key=lambda p: p.parts)[0] for k in idxs)
-    witness = {members[i]: _min_bit(wsets[i]) for i in range(len(members))}
     return SearchResult(
         n=n,
         t_max=len(members),
         optimal_family=members,
-        witness_assignment=witness,
+        witness_assignment=_witness_map(members, wsets),
         masks=tuple(vectors[k] for k in idxs),
         nodes_explored=engine.nodes,
         exhaustive=True,
         descriptors=descs,
+        prunes=engine.prunes,
     )

@@ -144,7 +144,9 @@ def test_verify_json_mode(tmp_path, capsys):
 
 def test_search_spec_point(capsys):
     assert main(["search", "--n", "6"]) == 0
-    assert "largest family size 2" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "largest family size 2" in out
+    assert "prune" not in out
 
 
 def test_search_json(capsys):
@@ -153,6 +155,7 @@ def test_search_json(capsys):
     assert data["t_max"] == 4
     assert data["exhaustive"] is True
     assert len(data["family"]) == 4
+    assert set(data["prunes"]) == {"remaining", "capacity"}
 
 
 def test_search_descriptors(capsys):

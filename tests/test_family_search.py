@@ -1,5 +1,7 @@
 """Tests for the exact family search."""
 
+import dataclasses
+import itertools
 import math
 import random
 
@@ -8,6 +10,7 @@ import pytest
 from migsets.family_search import (
     MaskGroup,
     SearchError,
+    _witness_map,
     descriptors,
     enumerate_masks,
     iter_families,
@@ -120,9 +123,47 @@ def test_bruteforce_degree_limit():
         max_family_bruteforce(15)
 
 
+def _answer(r):
+    """The result without its search statistics."""
+    return dataclasses.replace(r, nodes_explored=0, prunes={})
+
+
 def test_pruning_does_not_change_answer():
-    for n in range(5, 13):
-        assert max_family(n, prune=False).t_max == max_family(n).t_max
+    for search in (max_family, max_family_intransitive_imprimitive):
+        for n in range(5, 17):
+            pruned, unpruned = search(n), search(n, prune=False)
+            assert _answer(pruned) == _answer(unpruned), (search.__name__, n)
+            assert list(pruned.witness_assignment) == list(unpruned.witness_assignment)
+            assert unpruned.prunes == {"remaining": 0, "capacity": 0}
+
+
+# exact t_max tables; the drop from 11 at n=25 to 10 at n=26 is real
+MAX_FAMILY_T = dict(zip(range(12, 26), (4, 5, 5, 6, 6, 7, 7, 7, 8, 8, 9, 9, 10, 11)))
+DESCRIPTOR_T = dict(zip(range(12, 24), (5, 5, 5, 6, 6, 7, 7, 7, 8, 8, 9, 9)))
+
+
+def test_max_family_frozen_table():
+    assert {n: max_family(n).t_max for n in MAX_FAMILY_T} == MAX_FAMILY_T
+
+
+def test_descriptor_variant_frozen_table():
+    got = {n: max_family_intransitive_imprimitive(n).t_max for n in DESCRIPTOR_T}
+    assert got == DESCRIPTOR_T
+
+
+def test_capacity_rule_bounds_the_search():
+    # without the capacity rule n=22 explores 2.49M nodes
+    r = max_family(22)
+    assert r.nodes_explored < 10_000
+    assert r.prunes["capacity"] > 0 and r.prunes["remaining"] > 0
+
+
+def test_witness_map_rejects_broken_witness_sets():
+    with pytest.raises(SearchError, match="unmatchable"):
+        _witness_map(("a", "b"), [0b10, 0b10])
+    # matchable (a->1, b->2) but both smallest witnesses are 1
+    with pytest.raises(SearchError, match="overlap"):
+        _witness_map(("a", "b"), [0b10, 0b110])
 
 
 def test_known_lower_bound_seeding():
@@ -167,6 +208,35 @@ def test_iter_families_members_are_valid():
                     if j != i:
                         w &= other
                 assert w & ~m
+
+
+def _families_by_filter(n, size):
+    """Plain filter over combinations of mask groups, representatives last."""
+    universe = (1 << (n // 2 + 1)) - 2
+    out = []
+    for combo in itertools.combinations(enumerate_masks(n), size):
+        masks = [g.bits for g in combo]
+        inter = universe
+        for m in masks:
+            inter &= m
+        if inter:
+            continue
+        witnesses = []
+        for i, m in enumerate(masks):
+            w = universe & ~m
+            for j, other in enumerate(masks):
+                if j != i:
+                    w &= other
+            witnesses.append(w)
+        if all(witnesses):
+            out.extend(itertools.product(*(g.representatives for g in combo)))
+    return out
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_iter_families_matches_plain_filter(n):
+    for size in range(1, n // 2 + 2):
+        assert list(iter_families(n, size)) == _families_by_filter(n, size)
 
 
 def test_iter_families_deterministic():
