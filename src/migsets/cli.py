@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import multiprocessing
+import os
 import sys
 
 from .acceptance import run as run_acceptance
@@ -32,6 +33,7 @@ from .constructions import (
 )
 from .family_search import (
     SearchError,
+    _min_bit,
     max_family,
     max_family_intransitive_imprimitive,
 )
@@ -40,9 +42,7 @@ from .subgroup_oracle import (
     MAX_DEGREE,
     MIN_DEGREE,
     OracleError,
-    class_meets_subgroup,
-    invariably_generates,
-    is_mig_set,
+    incidence,
     maximal_subgroups,
 )
 
@@ -104,13 +104,18 @@ def _cmd_construct(args):
 def _load_family(path):
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict) or not isinstance(data.get("witnesses", {}), dict):
+        raise TypeError("expected an object with a member list and a witness map")
     members = [Partition.from_text(t) for t in data["members"]]
     witnesses = None
     if "witnesses" in data:
         witnesses = {Partition.from_text(t): w for t, w in data["witnesses"].items()}
         if set(witnesses) != set(members):
             raise KeyError("witness keys do not match the member list")
-    return family_from_members(members, witnesses)
+    xf = family_from_members(members, witnesses)
+    if data.get("n", xf.n) != xf.n:
+        raise ConstructionError(f"n is {data['n']!r} but the members partition {xf.n}")
+    return xf
 
 
 def _cmd_verify(args):
@@ -181,6 +186,10 @@ def _cmd_bounds(args):
     if lo < 5 or hi < lo:
         print("error: need 5 <= FROM <= TO", file=sys.stderr)
         return USAGE_ERROR
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        print(f"error: --jobs must be between 1 and {cpus}", file=sys.stderr)
+        return USAGE_ERROR
     degrees = range(lo, hi + 1)
     if args.jobs > 1:
         with multiprocessing.Pool(args.jobs) as pool:
@@ -213,20 +222,6 @@ def _parse_classes(text, n):
     return classes
 
 
-def _removal_witnesses(classes, records):
-    """For each class, a maximal subgroup meeting all the others (if any)."""
-    out = {}
-    for i, p in enumerate(classes):
-        rest = classes[:i] + classes[i + 1 :]
-        rec = next(
-            (r for r in records if all(class_meets_subgroup(r, q) for q in rest)),
-            None,
-        )
-        if rec is not None:
-            out[p.text()] = rec.label
-    return out
-
-
 def _cmd_oracle(args):
     try:
         if args.classes_file:
@@ -236,21 +231,22 @@ def _cmd_oracle(args):
             text = args.classes
         classes = _parse_classes(text, args.n)
         records = maximal_subgroups(args.n)
-        generates = invariably_generates(classes, args.n)
-        minimal = is_mig_set(classes, args.n)
+        common, leave_one_out = incidence(classes, args.n)
     except OSError as exc:
         print(f"error: cannot read class list: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (PartitionError, OracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    blocker = None
-    if not generates:
-        rec = next(
-            r for r in records if all(class_meets_subgroup(r, q) for q in classes)
-        )
-        blocker = rec.label
-    removal = _removal_witnesses(classes, records) if generates else {}
+    # lowest bit = first record in maximal_subgroups order
+    generates = common == 0
+    minimal = generates and all(leave_one_out)
+    blocker = None if generates else records[_min_bit(common)].label
+    removal = {
+        p.text(): records[_min_bit(m)].label
+        for p, m in zip(classes, leave_one_out)
+        if generates and m
+    }
     if args.json:
         print(
             json.dumps(

@@ -26,9 +26,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .family_search import iter_families, max_family
+from .family_search import _min_bit, _universe, iter_families, max_family
 from .partitions import (
     Partition,
+    _divisors,
     is_partial_sum,
     jordan_witness,
     parity,
@@ -36,11 +37,7 @@ from .partitions import (
     power_type,
     wreath_realizable,
 )
-from .subgroup_oracle import (
-    class_meets_subgroup,
-    is_mig_set,
-    maximal_subgroups,
-)
+from .subgroup_oracle import incidence, is_mig_set, maximal_subgroups
 
 
 class ConstructionError(ValueError):
@@ -139,14 +136,6 @@ class XFamily:
 
     def masks(self):
         return [partial_sums(p).restricted_bits() for p in self.members]
-
-
-def _universe(n):
-    return (1 << (n // 2 + 1)) - 2
-
-
-def _min_bit(x):
-    return (x & -x).bit_length() - 1
 
 
 def _witness_sets(members, n):
@@ -349,10 +338,15 @@ def family_from_members(members, witnesses=None):
     n = ps[0].n
     if any(p.n != n for p in ps):
         raise ConstructionError("family members must partition the same n")
+    if len(set(ps)) != len(ps):
+        raise ConstructionError("family members must be pairwise distinct")
     if witnesses is None:
         witnesses = _witness_map(ps, n, strict=False)
     else:
-        witnesses = {p: int(witnesses[p]) for p in ps}
+        try:
+            witnesses = {p: int(witnesses[p]) for p in ps}
+        except (TypeError, ValueError) as exc:
+            raise ConstructionError(f"witnesses must be integers: {exc}") from None
     z = None
     tails = [p for p in ps if 2 * p.parts[0] > n and all(a == 1 for a in p.parts[1:])]
     if len(tails) == 1:
@@ -448,11 +442,6 @@ def _bits_list(x):
     return out
 
 
-def _divisors(m):
-    out = [d for d in range(1, int(math.isqrt(m)) + 1) if m % d == 0]
-    return sorted(set(out + [m // d for d in out]))
-
-
 def verify_mig_lower_bound(xf, *, raise_on_failure=True):
     """Check that no proper transitive subgroup meets every class of X.
 
@@ -481,17 +470,15 @@ def verify_mig_lower_bound(xf, *, raise_on_failure=True):
 
 def _exact_oracle_checks(xf):
     n = xf.n
-    records = maximal_subgroups(n)
-    meets_all = [
-        rec for rec in records if all(class_meets_subgroup(rec, p) for p in xf.members)
-    ]
+    common, leave_one_out = incidence(xf.members, n)
     by_kind = {}
-    for rec in meets_all:
-        by_kind.setdefault(rec.kind, []).append(rec.label)
+    for i, rec in enumerate(maximal_subgroups(n)):
+        if common >> i & 1:
+            by_kind.setdefault(rec.kind, []).append(rec.label)
     parity_ok = "alternating" not in by_kind
     jordan_ok = not any(k in by_kind for k in ("affine", "almost_simple", "primitive"))
     blocks_ok = "imprimitive" not in by_kind
-    mig = is_mig_set(xf.members, n)
+    mig = common == 0 and all(leave_one_out)
     return {
         "parity": _check(
             parity_ok,

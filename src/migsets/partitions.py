@@ -59,6 +59,8 @@ class Partition:
     @classmethod
     def from_text(cls, text: str) -> "Partition":
         """Parse ``7,5,1^3`` style text (any part order, optional spaces)."""
+        if not isinstance(text, str):
+            raise PartitionError(f"partition text must be a string, got {text!r}")
         parts = []
         for token in text.split(","):
             token = token.replace(" ", "")

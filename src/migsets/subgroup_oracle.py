@@ -13,14 +13,23 @@ partial-sum check, block stabilizers by the wreath realizability test,
 the alternating group by parity, and the primitive groups by their frozen
 cycle-type sets (computed once by element enumeration; all have order at
 most 1440).
+
+Every question about a set of classes goes through one incidence engine:
+`incidence_mask(p)` is the bitmask of the records (in `maximal_subgroups`
+order) that the class p meets, memoised per class (there are 260 classes of
+degree 5..12), and `incidence(classes, n)` ANDs the masks into the records
+meeting every class and, per class, the records meeting all the others.
+Invariable generation is an empty first mask; minimality adds non-empty
+leave-one-out masks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from importlib import resources
+from operator import and_
 
 from .partitions import Partition, is_partial_sum, parity, wreath_realizable
 from .perms import PermGroup, cycle_type, from_cycles, parse_cycles
@@ -249,14 +258,33 @@ def _check_classes(classes, n):
     return out
 
 
+@lru_cache(maxsize=None)
+def incidence_mask(p):
+    """Bit i is set iff the class with cycle type p meets
+    ``maximal_subgroups(p.n)[i]``."""
+    mask = 0
+    for i, rec in enumerate(maximal_subgroups(p.n)):
+        if class_meets_subgroup(rec, p):
+            mask |= 1 << i
+    return mask
+
+
+def incidence(classes, n):
+    """Return ``(common, leave_one_out)``: the bitmask of the maximal
+    subgroups meeting every class, and for each class the bitmask of those
+    meeting all the other classes."""
+    masks = [incidence_mask(p) for p in _check_classes(classes, n)]
+    full = (1 << len(maximal_subgroups(n))) - 1
+    leave_one_out = [
+        reduce(and_, masks[:i] + masks[i + 1 :], full) for i in range(len(masks))
+    ]
+    return reduce(and_, masks, full), leave_one_out
+
+
 def invariably_generates(classes, n):
     """True iff picking any element from each class always generates S_n,
     i.e. no maximal subgroup meets every class."""
-    classes = _check_classes(classes, n)
-    return not any(
-        all(class_meets_subgroup(rec, p) for p in classes)
-        for rec in maximal_subgroups(n)
-    )
+    return incidence(classes, n)[0] == 0
 
 
 def is_mig_set(classes, n):
@@ -266,14 +294,5 @@ def is_mig_set(classes, n):
     meeting all the others (such a subgroup avoids the omitted class
     automatically, else it would contradict generation).
     """
-    classes = _check_classes(classes, n)
-    if not invariably_generates(classes, n):
-        return False
-    for i in range(len(classes)):
-        rest = classes[:i] + classes[i + 1 :]
-        if not any(
-            all(class_meets_subgroup(rec, p) for p in rest)
-            for rec in maximal_subgroups(n)
-        ):
-            return False
-    return True
+    common, leave_one_out = incidence(classes, n)
+    return common == 0 and all(leave_one_out)

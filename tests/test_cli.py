@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -134,6 +135,47 @@ def test_verify_rejects_garbage(tmp_path, capsys):
     assert main(["verify", str(path2)]) == 2
 
 
+def _assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_verify_rejects_non_string_member(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"members": [5]}))
+    assert main(["verify", str(path)]) == 2
+    _assert_one_line_error(capsys)
+
+
+def test_verify_rejects_non_integer_witness(tmp_path, capsys):
+    def spoil(data):
+        data["witnesses"]["3,2^5"] = "x"
+
+    path = _write_family(tmp_path, 13, mutate=spoil)
+    assert main(["verify", str(path)]) == 2
+    _assert_one_line_error(capsys)
+
+
+def test_verify_rejects_wrong_degree_field(tmp_path, capsys):
+    path = _write_family(tmp_path, 13, mutate=lambda d: d.update(n=99))
+    assert main(["verify", str(path)]) == 2
+    _assert_one_line_error(capsys)
+
+
+def test_verify_rejects_malformed_witness_map_and_duplicates(tmp_path, capsys):
+    def duplicate(data):
+        data["members"].append(data["members"][0])
+        data.pop("witnesses")
+
+    path = _write_family(tmp_path, 13, mutate=lambda d: d.update(witnesses=[1]))
+    assert main(["verify", str(path)]) == 2
+    _assert_one_line_error(capsys)
+    for n in (12, 13):
+        path = _write_family(tmp_path, n, mutate=duplicate)
+        assert main(["verify", str(path)]) == 2
+        _assert_one_line_error(capsys)
+
+
 def test_verify_json_mode(tmp_path, capsys):
     path = _write_family(tmp_path, 20)
     assert main(["verify", str(path), "--json"]) == 0
@@ -196,8 +238,16 @@ def test_bounds_k1_flag(capsys):
 def test_bounds_jobs_matches_serial(capsys):
     assert main(["bounds", "--from", "30", "--to", "40"]) == 0
     serial = capsys.readouterr().out
-    assert main(["bounds", "--from", "30", "--to", "40", "--jobs", "3"]) == 0
+    jobs = str(min(2, os.cpu_count()))
+    assert main(["bounds", "--from", "30", "--to", "40", "--jobs", jobs]) == 0
     assert capsys.readouterr().out == serial
+
+
+@pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
+def test_bounds_rejects_jobs_out_of_range(jobs, capsys):
+    # all rejected before a worker pool is built
+    assert main(["bounds", "--from", "30", "--to", "40", "--jobs", str(jobs)]) == 2
+    assert capsys.readouterr().err.startswith("error: --jobs must be between 1 and")
 
 
 def test_bounds_json(capsys):
@@ -241,6 +291,27 @@ def test_oracle_json_padding(capsys):
     assert data["invariably_generates"] is True
     assert data["blocked_by"] is None
     assert set(data["removal_witnesses"]) == {"6,1", "5,2"}
+
+
+def test_oracle_json_blocker_is_first_record(capsys):
+    # S_2 wr S_3, S_3 wr S_2 and A_6 all meet both classes; the first is named
+    assert main(["oracle", "--n", "6", "--classes", "(4,2);(3,3)", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["invariably_generates"] is False
+    assert data["blocked_by"] == "S_2 wr S_3"
+    assert data["removal_witnesses"] == {}
+
+
+def test_oracle_json_removal_witness_labels(capsys):
+    # each pair is met by two records; the first in record order is named
+    assert main(["oracle", "--n", "6", "--classes", "4,1^2;3,1^3;3,3", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["minimal"] is True
+    assert data["removal_witnesses"] == {
+        "4,1^2": "S_3 wr S_2",
+        "3,1^3": "S_2 wr S_3",
+        "3^2": "S_1 x S_5",
+    }
 
 
 def test_oracle_classes_file(tmp_path, capsys):

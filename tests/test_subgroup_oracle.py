@@ -1,7 +1,11 @@
 """Invariable-generation oracle: the per-kind class membership tests are
 checked against direct element enumeration of every maximal subgroup for
-degrees up to 8, and against hand-derived facts at degree 5, 6, 11, 12."""
+degrees up to 8, and against hand-derived facts at degree 5, 6, 11, 12.
+The incidence-mask engine is checked against the definition: per-record
+membership bit by bit, and generation/minimality against a plain
+leave-one-out scan."""
 
+import itertools
 import math
 
 import pytest
@@ -11,6 +15,8 @@ from migsets.perms import cycle_type
 from migsets.subgroup_oracle import (
     OracleError,
     class_meets_subgroup,
+    incidence,
+    incidence_mask,
     invariably_generates,
     is_mig_set,
     maximal_subgroups,
@@ -162,8 +168,6 @@ def test_no_small_invariably_generating_sets_degree6():
     types = [p for p in enumerate_partitions(6) if len(p.parts) < 6]
     singles = sum(invariably_generates([p], 6) for p in types)
     assert singles == 0
-    import itertools
-
     pairs = sum(
         invariably_generates(list(pair), 6) for pair in itertools.combinations(types, 2)
     )
@@ -178,12 +182,19 @@ def test_identity_class_never_in_mig_set():
 
 
 def test_mig_set_rejects_duplicates_and_degree_mix():
+    bad = [
+        ([P("3,3"), P("3,3")], 6),
+        ([P("3,3"), P("5,2")], 6),
+        ([], 6),
+        ([P("4")], 4),  # degrees outside the bundled range 5..12
+        ([P("13")], 13),
+    ]
+    for fn in (incidence, invariably_generates, is_mig_set):
+        for classes, n in bad:
+            with pytest.raises(OracleError):
+                fn(classes, n)
     with pytest.raises(OracleError):
-        invariably_generates([P("3,3"), P("3,3")], 6)
-    with pytest.raises(OracleError):
-        invariably_generates([P("3,3"), P("5,2")], 6)
-    with pytest.raises(OracleError):
-        invariably_generates([], 6)
+        incidence_mask(P("13"))
 
 
 def test_explicit_families_degree_11_and_12():
@@ -195,3 +206,55 @@ def test_explicit_families_degree_11_and_12():
 
 def test_accepts_raw_part_tuples():
     assert not invariably_generates([(5, 1), (4, 2)], 6)
+
+
+# ---------------------------------------------------------------------------
+# the incidence-mask engine against the definition
+
+
+def test_incidence_mask_bits_match_class_meets_subgroup():
+    for n in range(5, 13):
+        records = maximal_subgroups(n)
+        for p in enumerate_partitions(n):
+            mask = incidence_mask(p)
+            assert mask >> len(records) == 0
+            for i, rec in enumerate(records):
+                assert (mask >> i & 1) == class_meets_subgroup(rec, p), (rec.label, p)
+
+
+def _scan_generates(classes, n):
+    records = maximal_subgroups(n)
+    return not any(all(class_meets_subgroup(r, p) for p in classes) for r in records)
+
+
+def _scan_is_mig_set(classes, n):
+    return _scan_generates(classes, n) and not any(
+        _scan_generates(classes[:i] + classes[i + 1 :], n) for i in range(len(classes))
+    )
+
+
+def test_engine_matches_leave_one_out_scan():
+    checked = 0
+    for n in range(5, 13):
+        nontrivial = [p for p in enumerate_partitions(n) if p.parts != (1,) * n]
+        for k in range(1, (3 if n <= 9 else 2) + 1):
+            for combo in itertools.combinations(nontrivial, k):
+                classes = list(combo)
+                assert invariably_generates(classes, n) == _scan_generates(classes, n)
+                assert is_mig_set(classes, n) == _scan_is_mig_set(classes, n), combo
+                checked += 1
+    assert checked == 11_662
+
+
+def test_incidence_returns_common_and_leave_one_out_masks():
+    family = [P("4,1,1"), P("3,1^3"), P("3,3")]
+    masks = [incidence_mask(p) for p in family]
+    common, leave_one_out = incidence(family, 6)
+    assert common == masks[0] & masks[1] & masks[2] == 0
+    assert leave_one_out == [
+        masks[1] & masks[2],
+        masks[0] & masks[2],
+        masks[0] & masks[1],
+    ]
+    # a single class leaves every record in its leave-one-out mask
+    assert incidence([P("6")], 6) == (incidence_mask(P("6")), [(1 << 6) - 1])
