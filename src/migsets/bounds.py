@@ -24,43 +24,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .partitions import _factorize
+
 
 class BoundsError(ValueError):
     """Input outside a counting formula's domain."""
 
 
 def divisor_count(n):
-    """Δ(n) by trial factorization."""
+    """Δ(n) from the prime factorization of n."""
     if n < 1:
         raise BoundsError(f"need n >= 1, got {n}")
-    count = 1
-    rest = n
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            count *= e + 1
-        p += 1 if p == 2 else 2
-    if rest > 1:
-        count *= 2
-    return count
-
-
-def _factorize(n):
-    out = {}
-    rest = n
-    p = 2
-    while p * p <= rest:
-        while rest % p == 0:
-            out[p] = out.get(p, 0) + 1
-            rest //= p
-        p += 1 if p == 2 else 2
-    if rest > 1:
-        out[rest] = out.get(rest, 0) + 1
-    return out
+    return math.prod(e + 1 for e in _factorize(n).values())
 
 
 def _is_prime_power(q):
@@ -121,37 +96,14 @@ def count_binomial(n, *, include_k1=False):
     return count
 
 
-def _iroot(n, k):
-    """Largest r with r^k <= n."""
-    if k == 1:
-        return n
-    if k == 2:
-        return math.isqrt(n)
-    r = int(round(n ** (1.0 / k)))
-    while r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
-
-
 def count_perfect_power(n):
     """c_n: exponents k >= 2 with n = d^k for some integer d.
 
-    Counted two independent ways (divisors of the gcd of the prime
-    exponents, and direct k-th-root testing) which must agree."""
+    n = d^k exactly when k divides every prime exponent of n, so c_n is the
+    number of divisors k >= 2 of the gcd of the exponents."""
     if n < 4:
         raise BoundsError(f"need n >= 4, got {n}")
-    exponents = list(_factorize(n).values())
-    g = 0
-    for e in exponents:
-        g = math.gcd(g, e)
-    via_gcd = divisor_count(g) - 1
-    via_roots = sum(
-        1 for k in range(2, n.bit_length()) if _iroot(n, k) ** k == n
-    )
-    assert via_gcd == via_roots, f"perfect-power counts disagree at {n}"
-    return via_gcd
+    return divisor_count(math.gcd(*_factorize(n).values())) - 1
 
 
 TABLE1 = (

@@ -26,11 +26,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .family_search import _min_bit, _universe, iter_families, max_family
+from .family_search import (
+    _min_bit,
+    _universe,
+    iter_families,
+    leave_one_out,
+    max_family,
+)
 from .partitions import (
     Partition,
     _divisors,
-    is_partial_sum,
     jordan_witness,
     parity,
     partial_sums,
@@ -120,9 +125,10 @@ def verify_lemma(lp):
 class XFamily:
     """A family X with its witness table and construction bookkeeping.
 
-    alpha/tvals/m describe the block structure used for n >= 13; for smaller
-    n (searched or hard-coded) they are empty and repair_case is "small_n".
-    Families rebuilt from serialized members get repair_case "imported".
+    alpha/tvals/m/z describe the block structure used for n >= 13 (z is the
+    long-cycle tail class); for smaller n (searched or hard-coded) they are
+    empty and repair_case is "small_n".  Families rebuilt from serialized
+    members get repair_case "imported" and empty bookkeeping too.
     """
 
     n: int
@@ -139,21 +145,17 @@ class XFamily:
 
 
 def _witness_sets(members, n):
+    """Return ``(common, wsets)``: the partial sums in 1..n/2 shared by every
+    member, and per member the sums all the others have and it lacks."""
     masks = [partial_sums(p).restricted_bits() for p in members]
-    out = []
-    for i in range(len(members)):
-        w = _universe(n) & ~masks[i]
-        for j, m in enumerate(masks):
-            if j != i:
-                w &= m
-        out.append(w)
-    return out
+    common, others = leave_one_out(masks, _universe(n))
+    return common, [o & ~m for o, m in zip(others, masks)]
 
 
-def _witness_map(members, n, *, strict=True):
+def _witness_map(members, wsets, *, strict=True):
     """Smallest-witness assignment; 0 marks a member with no witness."""
     out = {}
-    for p, w in zip(members, _witness_sets(members, n)):
+    for p, w in zip(members, wsets):
         if w == 0 and strict:
             raise ConstructionError(f"member {p} has no witness")
         out[p] = _min_bit(w) if w else 0
@@ -183,51 +185,35 @@ def build_x_family(n):
     if n < 5:
         raise ConstructionError(f"families start at n=5, got {n}")
     if n <= 10:
-        return _small_family(n)
+        return _small_n_family(n, _searched_family(n))
     if n in EXPLICIT_FAMILIES:
-        members = tuple(Partition(p) for p in EXPLICIT_FAMILIES[n])
-        return XFamily(
-            n=n,
-            members=members,
-            witnesses=_witness_map(members, n),
-            alpha=(),
-            tvals=(),
-            m=0,
-            repair_case="small_n",
-            z=None,
-        )
+        return _small_n_family(n, tuple(Partition(p) for p in EXPLICIT_FAMILIES[n]))
     return _block_family(n)
 
 
-def _small_family(n):
-    result = max_family(n)
-    for size in range(result.t_max, 1, -1):
-        for fam in iter_families(n, size):
-            if is_mig_set(fam, n):
-                return XFamily(
-                    n=n,
-                    members=fam,
-                    witnesses=_witness_map(fam, n),
-                    alpha=(),
-                    tvals=(),
-                    m=0,
-                    repair_case="small_n",
-                    z=None,
-                )
-    # no searched family passes the oracle (this happens at n = 6, where no
-    # two classes suffice); fall back to the first optimal family so the
-    # shape of the result is still usable downstream
-    fam = result.optimal_family
+def _small_n_family(n, members):
     return XFamily(
         n=n,
-        members=fam,
-        witnesses=_witness_map(fam, n),
+        members=members,
+        witnesses=_witness_map(members, _witness_sets(members, n)[1]),
         alpha=(),
         tvals=(),
         m=0,
         repair_case="small_n",
         z=None,
     )
+
+
+def _searched_family(n):
+    result = max_family(n)
+    for size in range(result.t_max, 1, -1):
+        for fam in iter_families(n, size):
+            if is_mig_set(fam, n):
+                return fam
+    # no searched family passes the oracle (this happens at n = 6, where no
+    # two classes suffice); fall back to the first optimal family so the
+    # shape of the result is still usable downstream
+    return result.optimal_family
 
 
 def _first_member(n):
@@ -308,11 +294,9 @@ def _block_family(n):
         repair = "case2_rebuilt"
 
     ordered = tuple(members[t] for t in sorted(members)) + (z,)
-    witnesses = _witness_map(ordered, n)
+    inter, wsets = _witness_sets(ordered, n)
+    witnesses = _witness_map(ordered, wsets)
     assert len(set(witnesses.values())) == len(witnesses)
-    inter = _universe(n)
-    for p in ordered:
-        inter &= partial_sums(p).restricted_bits()
     assert inter == 0
     assert _size_exceeds_half_minus_log(n, len(ordered))
     return XFamily(
@@ -341,16 +325,12 @@ def family_from_members(members, witnesses=None):
     if len(set(ps)) != len(ps):
         raise ConstructionError("family members must be pairwise distinct")
     if witnesses is None:
-        witnesses = _witness_map(ps, n, strict=False)
+        witnesses = _witness_map(ps, _witness_sets(ps, n)[1], strict=False)
     else:
-        try:
-            witnesses = {p: int(witnesses[p]) for p in ps}
-        except (TypeError, ValueError) as exc:
-            raise ConstructionError(f"witnesses must be integers: {exc}") from None
-    z = None
-    tails = [p for p in ps if 2 * p.parts[0] > n and all(a == 1 for a in p.parts[1:])]
-    if len(tails) == 1:
-        z = tails[0]
+        witnesses = {p: witnesses[p] for p in ps}
+        for w in witnesses.values():
+            if not isinstance(w, int) or isinstance(w, bool):
+                raise ConstructionError(f"witnesses must be integers, got {w!r}")
     return XFamily(
         n=n,
         members=ps,
@@ -359,7 +339,7 @@ def family_from_members(members, witnesses=None):
         tvals=(),
         m=0,
         repair_case="imported",
-        z=z,
+        z=None,
     )
 
 
@@ -393,10 +373,7 @@ def _raise_if_failed(cert, label):
 def verify_x_family(xf, *, raise_on_failure=True):
     """Re-check properties (1)-(3) from the members alone."""
     n = xf.n
-    masks = [partial_sums(p).restricted_bits() for p in xf.members]
-    inter = _universe(n)
-    for m in masks:
-        inter &= m
+    inter, wsets = _witness_sets(xf.members, n)
     p1 = _check(
         inter == 0,
         "no common partial sum"
@@ -404,7 +381,6 @@ def verify_x_family(xf, *, raise_on_failure=True):
         else f"common partial sums {sorted(_bits_list(inter))}",
     )
 
-    wsets = _witness_sets(xf.members, n)
     bad = []
     seen = {}
     for p, w in zip(xf.members, wsets):
@@ -448,10 +424,11 @@ def verify_mig_lower_bound(xf, *, raise_on_failure=True):
     Together with properties (1) and (2) this makes X a witness that a
     minimal invariable generating set of size |X| exists.  For n = 11, 12
     the bundled maximal-subgroup data answers exactly; for n >= 13 the
-    checks mirror the structure of the proof: an odd class (nothing inside
-    the alternating group), a class forcing a long prime cycle with enough
-    fixed points (nothing primitive beyond the alternating group), and
-    block-size eliminations (nothing imprimitive).
+    checks replay the proof's eliminations: an odd member (nothing inside
+    the alternating group), a member with a power that is a prime cycle
+    fixing at least 3 points (by Jordan's theorem nothing else primitive),
+    and for each block size a of n a member outside S_a wr S_{n/a}
+    (nothing imprimitive).
     """
     n = xf.n
     if n < 11:
@@ -470,7 +447,7 @@ def verify_mig_lower_bound(xf, *, raise_on_failure=True):
 
 def _exact_oracle_checks(xf):
     n = xf.n
-    common, leave_one_out = incidence(xf.members, n)
+    common, others = incidence(xf.members, n)
     by_kind = {}
     for i, rec in enumerate(maximal_subgroups(n)):
         if common >> i & 1:
@@ -478,7 +455,7 @@ def _exact_oracle_checks(xf):
     parity_ok = "alternating" not in by_kind
     jordan_ok = not any(k in by_kind for k in ("affine", "almost_simple", "primitive"))
     blocks_ok = "imprimitive" not in by_kind
-    mig = common == 0 and all(leave_one_out)
+    mig = common == 0 and all(others)
     return {
         "parity": _check(
             parity_ok,
@@ -508,81 +485,44 @@ def _exact_oracle_checks(xf):
 
 
 def _replay_checks(xf):
+    """The proof's eliminations of the transitive maximal subgroups, each
+    naming the member that does the work.  Members with the fewest distinct
+    parts are tried first: the long-cycle tail class usually settles a check
+    at once."""
     n = xf.n
-    checks = {}
+    order = sorted(xf.members, key=lambda p: len(set(p.parts)))
 
-    missing_one = [p for p in xf.members if not is_partial_sum(p, 1)]
-    if len(missing_one) != 1:
-        checks["parity"] = _check(
-            False, f"expected one member without fixed-point sums, got {missing_one}"
-        )
-        checks["jordan"] = _check(False, "skipped: no distinguished first member")
-        checks["blocks"] = _check(False, "skipped: no distinguished first member")
-        return checks
-    x1 = missing_one[0]
-    checks["parity"] = _check(
-        parity(x1) == "odd", f"{x1} has parity {parity(x1)}"
+    odd = next((p for p in order if parity(p) == "odd"), None)
+    parity_check = _check(
+        odd is not None,
+        f"{odd} is odd" if odd else "every member lies in the alternating group",
     )
 
-    jw = jordan_witness(x1)
-    if jw is None:
-        checks["jordan"] = _check(False, f"{x1} admits no prime power cycle")
-    else:
-        lcm = 1
-        for a in x1.parts:
-            if a != jw:
-                lcm = lcm * a // math.gcd(lcm, a)
-        collapsed = power_type(x1, lcm)
-        expected = Partition([jw] + [1] * (n - jw))
-        checks["jordan"] = _check(
-            collapsed == expected,
-            f"power {lcm} of {x1} is a {jw}-cycle fixing {n - jw} >= 3 points",
-        )
-
-    if n == 15:
-        sub = Partition((7, 5, 1, 1, 1))
-        present = sub in xf.members
-        ok = (
-            present
-            and not wreath_realizable(sub, 3, 5)
-            and not wreath_realizable(sub, 5, 3)
-        )
-        checks["blocks"] = _check(
-            ok,
-            "member 7,5,1^3 fits in no block system"
-            if ok
-            else "block elimination via 7,5,1^3 failed",
-        )
-        return checks
-
-    tails = [
-        p for p in xf.members if 2 * p.parts[0] > n and all(a == 1 for a in p.parts[1:])
-    ]
-    if len(tails) != 1:
-        checks["blocks"] = _check(False, f"expected one long-cycle member, got {tails}")
-        return checks
-    z = tails[0]
-    if xf.z is not None and z != xf.z:
-        checks["blocks"] = _check(False, f"stored tail {xf.z} is not the member {z}")
-        return checks
-    ell = z.parts[0]
-    if not (2 * ell > n and 2 * ell < n + 6):
-        checks["blocks"] = _check(False, f"tail cycle length {ell} out of range for {n}")
-        return checks
-    tried = []
-    ok = True
-    for k in _divisors(math.gcd(n, ell)):
-        if k < 2:
+    jordan_check = _check(
+        False, "no member has a power that is a prime cycle fixing >= 3 points"
+    )
+    for p in order:
+        ell = jordan_witness(p)
+        if ell is None:
             continue
-        assert k <= 5  # k divides 2*ell - n, which lies in 1..5
-        tried.append(k)
-        if wreath_realizable(x1, k, n // k):
-            ok = False
+        k = math.lcm(*(a for a in p.parts if a != ell))
+        if power_type(p, k) == Partition([ell] + [1] * (n - ell)):
+            jordan_check = _check(
+                True, f"power {k} of {p} is a {ell}-cycle fixing {n - ell} >= 3 points"
+            )
             break
-    detail = (
-        f"tail forces block size k | gcd({n}, {ell}); eliminated k in {tried}"
-        if tried
-        else f"gcd({n}, {ell}) = 1 leaves no block size at all"
-    )
-    checks["blocks"] = _check(ok, detail if ok else f"block size {tried[-1]} survives")
-    return checks
+
+    eliminated, survivors = [], []
+    for a in _divisors(n)[1:-1]:  # block sizes 2..n/2
+        b = n // a
+        p = next((q for q in order if not wreath_realizable(q, a, b)), None)
+        if p is None:
+            survivors.append(f"every member fits S_{a} wr S_{b}")
+        else:
+            eliminated.append(f"{p} fits no S_{a} wr S_{b}")
+    detail = "; ".join(survivors or eliminated) or f"{n} is prime: no block system"
+    return {
+        "parity": parity_check,
+        "jordan": jordan_check,
+        "blocks": _check(not survivors, detail),
+    }

@@ -117,6 +117,22 @@ def _min_bit(x):
     return (x & -x).bit_length() - 1
 
 
+def leave_one_out(masks, full):
+    """Return ``(common, others)``: the AND of ``full`` with every mask, and
+    for each i the AND of ``full`` with every mask but ``masks[i]``.  Prefix
+    and suffix ANDs make it linear in the number of masks."""
+    suffix = [full]
+    for m in reversed(masks):
+        suffix.append(suffix[-1] & m)
+    suffix.reverse()
+    common = full
+    others = []
+    for i, m in enumerate(masks):
+        others.append(common & suffix[i + 1])
+        common &= m
+    return common, others
+
+
 def match_witnesses(wsets):
     """Injective witness assignment via augmenting paths; None if impossible.
 

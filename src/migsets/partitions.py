@@ -150,14 +150,11 @@ class PartialSumMask:
 
     def bitstring(self) -> str:
         """Length n+1, character i (from the left) is '1' iff i is a sum."""
-        return "".join("1" if self.bits >> i & 1 else "0" for i in range(self.n + 1))
+        return format(self.bits, f"0{self.n + 1}b")[::-1]
 
     def is_symmetric(self) -> bool:
-        rev = 0
-        for i in range(self.n + 1):
-            if self.bits >> i & 1:
-                rev |= 1 << (self.n - i)
-        return rev == self.bits
+        s = self.bitstring()
+        return s == s[::-1]
 
 
 def partial_sums(p: Partition, *, cap: int = DEFAULT_SUM_CAP) -> PartialSumMask:
@@ -170,7 +167,6 @@ def partial_sums(p: Partition, *, cap: int = DEFAULT_SUM_CAP) -> PartialSumMask:
     for a in p.parts:
         bits |= bits << a
     mask = PartialSumMask(p.n, bits)
-    assert mask.is_symmetric(), "partial-sum masks are symmetric by complementation"
     object.__setattr__(p, "_mask", mask)
     return mask
 
@@ -212,23 +208,28 @@ def _divisors(m: int) -> list[int]:
     return small + large[::-1]
 
 
+def _factorize(m: int) -> dict[int, int]:
+    """Prime factorization {prime: exponent} by trial division; {} for 1."""
+    out: dict[int, int] = {}
+    rest = m
+    q = 2
+    while q * q <= rest:
+        while rest % q == 0:
+            out[q] = out.get(q, 0) + 1
+            rest //= q
+        q += 1 if q == 2 else 2
+    if rest > 1:
+        out[rest] = out.get(rest, 0) + 1
+    return out
+
+
 def _divisors_of_lcm(parts) -> list[int]:
     """Divisors of lcm(parts), built from the prime factorizations of the
     parts themselves (the lcm may be huge but stays smooth)."""
     exponents: dict[int, int] = {}
     for a in parts:
-        rest = a
-        q = 2
-        while q * q <= rest:
-            if rest % q == 0:
-                e = 0
-                while rest % q == 0:
-                    rest //= q
-                    e += 1
-                exponents[q] = max(exponents.get(q, 0), e)
-            q += 1
-        if rest > 1:
-            exponents[rest] = max(exponents.get(rest, 0), 1)
+        for q, e in _factorize(a).items():
+            exponents[q] = max(exponents.get(q, 0), e)
     divisors = [1]
     for q, e in sorted(exponents.items()):
         divisors = [d * q**i for d in divisors for i in range(e + 1)]
@@ -251,14 +252,7 @@ def equivalent_types(p: Partition, q: Partition) -> bool:
 
 
 def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
+    return m >= 2 and _factorize(m) == {m: 1}
 
 
 def jordan_witness(p: Partition) -> int | None:

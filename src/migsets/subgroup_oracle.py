@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from importlib import resources
-from operator import and_
 
+from .family_search import leave_one_out
 from .partitions import Partition, is_partial_sum, parity, wreath_realizable
 from .perms import PermGroup, cycle_type, from_cycles, parse_cycles
 
@@ -274,11 +274,7 @@ def incidence(classes, n):
     subgroups meeting every class, and for each class the bitmask of those
     meeting all the other classes."""
     masks = [incidence_mask(p) for p in _check_classes(classes, n)]
-    full = (1 << len(maximal_subgroups(n))) - 1
-    leave_one_out = [
-        reduce(and_, masks[:i] + masks[i + 1 :], full) for i in range(len(masks))
-    ]
-    return reduce(and_, masks, full), leave_one_out
+    return leave_one_out(masks, (1 << len(maximal_subgroups(n))) - 1)
 
 
 def invariably_generates(classes, n):

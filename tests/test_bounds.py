@@ -121,6 +121,19 @@ def test_count_perfect_power_against_naive():
         assert count_perfect_power(n) == naive_perfect_power(n), n
 
 
+def test_count_perfect_power_matches_kth_roots():
+    # the gcd-of-exponents count against direct k-th-root testing
+    def kth_root_count(n):
+        count = 0
+        for k in range(2, n.bit_length()):
+            r = round(n ** (1 / k))
+            count += any(d**k == n for d in (r - 1, r, r + 1))
+        return count
+
+    for n in range(4, 10001):
+        assert count_perfect_power(n) == kth_root_count(n), n
+
+
 def test_count_perfect_power_frozen():
     assert count_perfect_power(64) == 3  # squares, cubes, sixth powers
     assert count_perfect_power(16) == 2

@@ -156,6 +156,38 @@ def test_verify_rejects_non_integer_witness(tmp_path, capsys):
     _assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "shift",
+    [lambda w: w + 0.9, str, lambda w: True],
+    ids=["fraction", "string", "bool"],
+)
+def test_verify_rejects_fractional_string_and_bool_witnesses(tmp_path, capsys, shift):
+    # a fractional witness must not be truncated into a valid one
+    def spoil(data):
+        data["witnesses"] = {k: shift(v) for k, v in data["witnesses"].items()}
+
+    path = _write_family(tmp_path, 13, mutate=spoil)
+    assert main(["verify", str(path)]) == 2
+    _assert_one_line_error(capsys)
+
+
+def test_verify_accepts_degree25_family_with_odd_member_outside_first(
+    tmp_path, capsys
+):
+    # 5,4^2,3^4 is the only member without the partial sum 1, and it is even;
+    # the odd member 7^2,4,3^2,1 rules out A_25
+    members = (
+        "12,5,4,3,1; 13,5,3^2,1; 7^2,4,3^2,1; 11,5^2,3,1; 9,4^3,3,1; 8,7,3^3,1; "
+        "6,5^2,4^2,1; 5,4^2,3^4; 14,1^11; 9^2,1^7; 6^2,5^2,1^3"
+    ).split("; ")
+    path = tmp_path / "fam25.json"
+    path.write_text(json.dumps({"n": 25, "members": members}))
+    assert main(["verify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "family of 11 members at n=25:" in out
+    assert "verdict: valid" in out
+
+
 def test_verify_rejects_wrong_degree_field(tmp_path, capsys):
     path = _write_family(tmp_path, 13, mutate=lambda d: d.update(n=99))
     assert main(["verify", str(path)]) == 2

@@ -1,5 +1,8 @@
 """Tests for the explicit family construction and its verifiers."""
 
+import itertools
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from migsets.constructions import (
     ConstructionError,
     LemmaPartition,
+    _replay_checks,
     build_x_family,
     family_from_members,
     lemma_partition,
@@ -14,7 +18,14 @@ from migsets.constructions import (
     verify_mig_lower_bound,
     verify_x_family,
 )
-from migsets.partitions import Partition, parity, partial_sums
+from migsets.partitions import (
+    Partition,
+    enumerate_partitions,
+    parity,
+    partial_sums,
+    wreath_realizable,
+)
+from migsets.subgroup_oracle import is_mig_set
 
 LEMMA_FROZEN = {
     # (i, n): (partition text, case, missing interior sums)
@@ -258,31 +269,93 @@ def test_verify_mig_lower_bound_replay_sweep():
 
 
 def test_verify_mig_lower_bound_block_details():
-    # prime degree: no block size divides both n and the tail cycle
+    # prime degree: there is no block system to eliminate
     cert = verify_mig_lower_bound(build_x_family(13))
-    assert "gcd(13, 8) = 1" in cert["checks"]["blocks"]["detail"]
-    # shared divisor: the first member must avoid those block systems
-    cert = verify_mig_lower_bound(build_x_family(24))
-    assert "eliminated k in [2]" in cert["checks"]["blocks"]["detail"]
-    # the one degree where the first member does sit in a block system and a
-    # different member carries the elimination
-    cert = verify_mig_lower_bound(build_x_family(15))
-    assert "7,5,1^3" in cert["checks"]["blocks"]["detail"]
+    assert cert["checks"]["blocks"]["detail"] == "13 is prime: no block system"
+    # composite degrees: one named member per block size, and that member
+    # really fits no wreath product with those blocks
+    for n in (15, 24):
+        xf = build_x_family(n)
+        detail = verify_mig_lower_bound(xf)["checks"]["blocks"]["detail"]
+        named = re.findall(r"(\S+) fits no S_(\d+) wr S_(\d+)", detail)
+        sizes = [a for a in range(2, n // 2 + 1) if n % a == 0]
+        assert [int(a) for _, a, _ in named] == sizes
+        for text, a, b in named:
+            p = Partition.from_text(text)
+            assert p in xf.members
+            assert int(a) * int(b) == n
+            assert not wreath_realizable(p, int(a), int(b))
 
 
 def test_verify_mig_lower_bound_rejects_even_first_member():
+    # every member even, the first one included: nothing rules out A_13
     bad = family_from_members(
-        [(5, 2, 2, 2, 2), (7, 4, 1, 1), (5, 5, 1, 1, 1), (6, 3, 3, 1), (8, 1, 1, 1, 1, 1)]
+        [
+            (5, 2, 2, 2, 2),
+            (7, 3, 1, 1, 1),
+            (5, 5, 1, 1, 1),
+            (3, 3, 3, 3, 1),
+            (9, 1, 1, 1, 1),
+        ]
     )
     cert = verify_mig_lower_bound(bad, raise_on_failure=False)
     assert not cert["checks"]["parity"]["pass"]
 
 
 def test_verify_mig_lower_bound_rejects_missing_tail():
+    # without its tail class the degree-13 family shares the partial sum 6
     xf = build_x_family(13)
     bad = family_from_members([p for p in xf.members if p != xf.z])
-    cert = verify_mig_lower_bound(bad, raise_on_failure=False)
-    assert not cert["checks"]["blocks"]["pass"]
+    cert = verify_x_family(bad, raise_on_failure=False)
+    assert not cert["checks"]["property1"]["pass"]
+    assert cert["checks"]["property1"]["detail"] == "common partial sums [6]"
+    with pytest.raises(ConstructionError):
+        verify_x_family(bad)
+    # the subgroup checks cover transitive groups only; 13 is prime
+    lower = verify_mig_lower_bound(bad, raise_on_failure=False)
+    assert all(c["pass"] for c in lower["checks"].values())
+
+
+def _properties_1_and_2(masks, universe):
+    """Plain scan: no common partial sum, and every member has a sum that all
+    the others have and it lacks."""
+    common = universe
+    for m in masks:
+        common &= m
+    if common:
+        return False
+    for i, m in enumerate(masks):
+        w = universe & ~m
+        for j, other in enumerate(masks):
+            if j != i:
+                w &= other
+        if not w:
+            return False
+    return True
+
+
+def test_generic_certificate_is_sound_against_exact_oracle():
+    # every 2- and 3-set of nontrivial classes at n = 5..12 plus seeded
+    # random 4..6-sets: wherever properties (1), (2) and the three generic
+    # eliminations all pass, the exact oracle must confirm a MIG set
+    rng = random.Random(2024)
+    accepted = 0
+    for n in range(5, 13):
+        classes = [p for p in enumerate_partitions(n) if len(p) < n]
+        universe = (1 << (n // 2 + 1)) - 2
+        mask = {p: partial_sums(p).bits & universe for p in classes}
+        sets = [fam for k in (2, 3) for fam in itertools.combinations(classes, k)]
+        sets += [tuple(rng.sample(classes, rng.randint(4, 6))) for _ in range(3000)]
+        for fam in sets:
+            if not _properties_1_and_2([mask[p] for p in fam], universe):
+                continue
+            xf = family_from_members(fam)
+            props = verify_x_family(xf, raise_on_failure=False)["checks"]
+            assert props["property1"]["pass"] and props["property2"]["pass"]
+            if all(c["pass"] for c in _replay_checks(xf).values()):
+                accepted += 1
+                assert is_mig_set(fam, n), [p.text() for p in fam]
+    assert accepted > 500  # the generic certificate is not vacuous
 
 
 def test_family_from_members_roundtrip():
@@ -291,7 +364,6 @@ def test_family_from_members_roundtrip():
     assert back.members == xf.members
     assert back.witnesses == xf.witnesses
     assert back.repair_case == "imported"
-    assert back.z == xf.z
     cert = verify_x_family(back)
     assert all(v["pass"] for v in cert["checks"].values())
 

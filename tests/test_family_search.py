@@ -14,6 +14,7 @@ from migsets.family_search import (
     descriptors,
     enumerate_masks,
     iter_families,
+    leave_one_out,
     match_witnesses,
     max_family,
     max_family_bruteforce,
@@ -276,6 +277,25 @@ def test_match_witnesses_agrees_with_nonemptiness():
                         assert wsets[i] & wsets[j] == 0
             else:
                 assert matching is None
+
+
+def test_leave_one_out_matches_plain_scan():
+    rng = random.Random(5)
+    assert leave_one_out([], 0b111) == (0b111, [])
+    for _ in range(300):
+        full = rng.getrandbits(12)
+        masks = [rng.getrandbits(12) for _ in range(rng.randint(1, 8))]
+        common, others = leave_one_out(masks, full)
+        expected_common = full
+        for m in masks:
+            expected_common &= m
+        assert common == expected_common
+        for i in range(len(masks)):
+            expected = full
+            for j, m in enumerate(masks):
+                if j != i:
+                    expected &= m
+            assert others[i] == expected
 
 
 def test_match_witnesses_handles_contention():

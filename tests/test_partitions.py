@@ -12,8 +12,11 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from migsets.partitions import (
+    PartialSumMask,
     Partition,
     PartitionError,
     PartitionTooLarge,
@@ -268,6 +271,23 @@ def test_mask_complement_symmetry_random():
         mask = partial_sums(p)
         for i in range(p.n + 1):
             assert mask.contains(i) == mask.contains(p.n - i)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=60))
+def test_mask_symmetry_and_bitstring_property(parts):
+    # partial sums are closed under complement, so every mask is a palindrome
+    p = Partition(parts)
+    mask = partial_sums(p)
+    chars = "".join("1" if mask.bits >> i & 1 else "0" for i in range(p.n + 1))
+    assert mask.bitstring() == chars
+    assert mask.is_symmetric()
+    assert all(mask.contains(i) == mask.contains(p.n - i) for i in range(p.n + 1))
+
+
+def test_is_symmetric_rejects_lopsided_mask():
+    assert not PartialSumMask(3, 0b0011).is_symmetric()
+    assert PartialSumMask(3, 0b1001).is_symmetric()
 
 
 # ---------------------------------------------------------------------------
