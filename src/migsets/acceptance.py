@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from .bounds import final_inequality_holds, table1_lookup, upper_bound
 from .constructions import (
+    _size_exceeds_half_minus_log,
     build_x_family,
     lemma_partition,
     verify_lemma,
@@ -225,8 +226,7 @@ def criterion_7():
         r = max_family(n)
         naive = max_family_bruteforce(n)
         ok &= r.t_max == naive
-        d = n - 2 * r.t_max
-        ok &= (d < 0 or n * n > 1 << d) and r.t_max <= n // 2  # n/2 - log2(n) < t
+        ok &= _size_exceeds_half_minus_log(n, r.t_max) and r.t_max <= n // 2
         ok &= len(set(r.witness_assignment.values())) == len(r.witness_assignment)
         rows.append(
             f"{n}\t{r.t_max}\t{n / 2 - math.log2(n):.3f}\t{n // 2}\t{r.nodes_explored}"
@@ -264,9 +264,9 @@ def criterion_8_wreath():
                 continue
             b = n // a
             group = _wreath_group(a, b)
-            assert group.order() == (
-                math.factorial(a) ** b * math.factorial(b)
-            ), f"wrong wreath order at ({a},{b})"
+            if group.order() != math.factorial(a) ** b * math.factorial(b):
+                mismatches.append((n, a, b, "wrong wreath order"))
+                continue
             types = {cycle_type(g) for g in group.elements()}
             for p in enumerate_partitions(n):
                 if wreath_realizable(p, a, b) != (p in types):

@@ -167,8 +167,10 @@ def bound_report(n):
         upper=n // 2 + delta + a + b + c - 1,
     )
     # distinct pairs (q, d) force coprime q's, each dividing n - 1
-    assert report.a <= report.omega_nm1 or n == 2
-    assert 1 << report.b < n  # C(2k, k) > 2^k
+    if report.a > report.omega_nm1 and n != 2:
+        raise BoundsError(f"a_{n} = {report.a} exceeds omega(n-1) = {report.omega_nm1}")
+    if 1 << report.b >= n:  # C(2k, k) > 2^k
+        raise BoundsError(f"b_{n} = {report.b} has 2^b >= n")
     return report
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import multiprocessing
 import os
 import sys
@@ -202,8 +201,7 @@ def _cmd_bounds(args):
     print("n\tdelta\ta\tb\tc\tlower\tupper\ttable1")
     for r, hits in rows:
         b = r.b_with_k1 if args.k1 else r.b
-        lower = r.n / 2 - math.log2(r.n)
-        print(f"{r.n}\t{r.delta}\t{r.a}\t{b}\t{r.c}\t{lower:.3f}\t{r.upper}\t{hits}")
+        print(f"{r.n}\t{r.delta}\t{r.a}\t{b}\t{r.c}\t{r.lower:.3f}\t{r.upper}\t{hits}")
     return 0
 
 

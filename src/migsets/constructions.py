@@ -29,6 +29,7 @@ from fractions import Fraction
 from .family_search import (
     _min_bit,
     _universe,
+    _witness_map,
     iter_families,
     leave_one_out,
     max_family,
@@ -140,9 +141,6 @@ class XFamily:
     repair_case: str  # small_n | case1_z_added | case2_rebuilt | imported
     z: Partition | None
 
-    def masks(self):
-        return [partial_sums(p).restricted_bits() for p in self.members]
-
 
 def _witness_sets(members, n):
     """Return ``(common, wsets)``: the partial sums in 1..n/2 shared by every
@@ -152,14 +150,11 @@ def _witness_sets(members, n):
     return common, [o & ~m for o, m in zip(others, masks)]
 
 
-def _witness_map(members, wsets, *, strict=True):
-    """Smallest-witness assignment; 0 marks a member with no witness."""
-    out = {}
-    for p, w in zip(members, wsets):
-        if w == 0 and strict:
-            raise ConstructionError(f"member {p} has no witness")
-        out[p] = _min_bit(w) if w else 0
-    return out
+def _require(ok, invariant):
+    """Raise unless an invariant of the construction holds; an explicit check
+    rather than an assert, so ``python -O`` keeps it."""
+    if not ok:
+        raise ConstructionError(f"construction invariant violated: {invariant}")
 
 
 def _size_exceeds_half_minus_log(n, count):
@@ -233,9 +228,9 @@ def _first_member(n):
     else:
         twos, fours = (rem - 4) // 2, 1
     p = Partition(base + [4] * fours + [2] * twos)
-    assert parity(p) == "odd"
+    _require(parity(p) == "odd", f"first member {p} of {n} is odd")
     mask = partial_sums(p).restricted_bits()
-    assert mask == _universe(n) & ~0b10, f"first member of {n} misses a sum"
+    _require(mask == _universe(n) & ~0b10, f"first member {p} has every sum but 1")
     return p
 
 
@@ -248,9 +243,9 @@ def _block_family(n):
         math.ceil(Fraction(n, 6 * (1 << (j - 1))) - 1) for j in range(1, m + 1)
     )
     for a in alpha:
-        assert 1 <= a and 6 * a < n
+        _require(1 <= a and 6 * a < n, f"alpha {a} lies in 1..n/6")
     top = math.floor(tvals[-1])
-    assert 2 * top > n - 6  # block structure reaches past n/2 - 3
+    _require(2 * top > n - 6, f"block structure reaches past n/2 - 3 (top {top})")
 
     x = {}
     for t in range(1, math.ceil(n / 3)):
@@ -262,11 +257,12 @@ def _block_family(n):
         a = alpha[j - 1]
         for t in range(lo, hi + 1):
             c = n - a - t
-            assert c > t > 2 * a  # keeps the appended part dominant and the
-            # ingredient's precondition a < (a+t)/3 satisfied
+            # keeps the appended part dominant and the ingredient's
+            # precondition a < (a+t)/3 satisfied
+            _require(c > t > 2 * a, f"{c} > {t} > 2*{a} at t={t}")
             x[t] = Partition(lemma_partition(a, a + t).p.parts + (c,))
         lo = hi + 1
-    assert sorted(x) == list(range(1, top + 1))
+    _require(sorted(x) == list(range(1, top + 1)), f"blocks cover 1..{top}")
 
     members = {t: p for t, p in x.items() if t not in set(alpha)}
 
@@ -278,16 +274,16 @@ def _block_family(n):
 
     if common:
         # repair case 1: one tail class squashes the shared sums
-        assert _min_bit(common) == top + 1
-        assert n != 6 << m
+        _require(_min_bit(common) == top + 1, f"smallest shared sum is {top + 1}")
+        _require(n != 6 << m, f"repair case 1 needs n != 6*2^{m}")
         z = Partition([1] * top + [n - top])
         repair = "case1_z_added"
     else:
         # repair case 2: only when n = 6*2^m; the top block collapses to the
         # single index t_m = n/2 - 1 whose ingredient degenerated (alpha = 1),
         # so drop it, keep the first member, and use a wider tail class
-        assert n == 6 << m and alpha[-1] == 1
-        assert tvals[-1] == n // 2 - 1
+        _require(n == 6 << m and alpha[-1] == 1, f"repair case 2: n = 6*2^{m}, alpha 1")
+        _require(tvals[-1] == n // 2 - 1, f"top block boundary is {n // 2 - 1}")
         del members[n // 2 - 1]
         members[1] = x[1]
         z = Partition([1] * (n // 2 - 2) + [n // 2 + 2])
@@ -296,9 +292,8 @@ def _block_family(n):
     ordered = tuple(members[t] for t in sorted(members)) + (z,)
     inter, wsets = _witness_sets(ordered, n)
     witnesses = _witness_map(ordered, wsets)
-    assert len(set(witnesses.values())) == len(witnesses)
-    assert inter == 0
-    assert _size_exceeds_half_minus_log(n, len(ordered))
+    _require(inter == 0, "no partial sum is shared by every member")
+    _require(_size_exceeds_half_minus_log(n, len(ordered)), "size > n/2 - log2(n)")
     return XFamily(
         n=n,
         members=ordered,
@@ -325,7 +320,8 @@ def family_from_members(members, witnesses=None):
     if len(set(ps)) != len(ps):
         raise ConstructionError("family members must be pairwise distinct")
     if witnesses is None:
-        witnesses = _witness_map(ps, _witness_sets(ps, n)[1], strict=False)
+        wsets = _witness_sets(ps, n)[1]
+        witnesses = {p: _min_bit(w) if w else 0 for p, w in zip(ps, wsets)}
     else:
         witnesses = {p: witnesses[p] for p in ps}
         for w in witnesses.values():

@@ -34,11 +34,16 @@ the reported result (each only cuts branches that cannot beat the incumbent):
       incumbent one below it (only branches that cannot reach a size known
       to exist are cut).
 
-`iter_families` applies (a) and (b) against the requested size instead of
-an incumbent.  Feasibility filtering is not a heuristic: supersets of an
-infeasible family are infeasible.  `prune=False` switches (a) and (b) off, and
-`max_family_bruteforce` is a deliberately naive include/exclude oracle kept
-free of (a)-(c); both serve as cross-checks.
+All three searches run the one engine, `_Engine`, which hands every
+feasible node to a visit function of the caller's.  `max_family` and the
+descriptor search keep the first largest node and raise the incumbent;
+`iter_families` pins the incumbent one below the requested size, so (a) and
+(b) cut exactly the branches that cannot reach it, and records each family
+of that size without descending further.  Feasibility filtering is not a
+heuristic: supersets of an infeasible family are infeasible.
+`prune=False` switches (a) and (b) off, and `max_family_bruteforce` is a
+deliberately naive include/exclude oracle kept free of (a)-(c); both serve
+as cross-checks.
 
 Candidate masks are ordered by popcount then value, and the DFS explores
 index-increasing subsets, so the first optimum found is the
@@ -52,7 +57,7 @@ from dataclasses import dataclass, field
 
 from .partitions import (
     DEFAULT_ENUMERATION_CAP,
-    Partition,
+    _divisors,
     enumerate_partitions,
     partial_sums,
     wreath_realizable,
@@ -65,14 +70,12 @@ class SearchError(ValueError):
 
 @dataclass(frozen=True)
 class MaskGroup:
-    """All partitions of n sharing one restricted partial-sum mask."""
+    """All partitions of n sharing one bit vector: the restricted partial-sum
+    mask, or in the descriptor search the descriptors a class meets."""
 
     n: int
-    bits: int  # bit i set iff i is a partial sum, 1 <= i <= n//2
+    bits: int  # bit i set iff i is a partial sum, 1 <= i <= n//2 (masks)
     representatives: tuple
-
-    def contains(self, i):
-        return bool(self.bits >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -87,30 +90,31 @@ class SearchResult:
     descriptors: tuple = ()  # set by the descriptor variant only
     prunes: dict = field(default_factory=dict)  # rule name -> times it fired
 
-    def summary_row(self):
-        return (self.n, self.t_max, self.nodes_explored)
-
 
 def _universe(n):
     return (1 << (n // 2 + 1)) - 2  # bits 1..n//2
 
 
+def _group(n, vector, *, cap=DEFAULT_ENUMERATION_CAP):
+    """All partitions of n grouped by ``vector(p)``; groups ordered by
+    popcount then vector value, representatives ordered by parts."""
+    groups = {}
+    for p in enumerate_partitions(n, cap=cap):
+        groups.setdefault(vector(p), []).append(p)
+    return [
+        MaskGroup(n=n, bits=bits, representatives=tuple(sorted(ps, key=lambda p: p.parts)))
+        for bits, ps in sorted(groups.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
+    ]
+
+
 def enumerate_masks(n, *, cap=DEFAULT_ENUMERATION_CAP):
-    """All partitions of n grouped by restricted mask; groups ordered by
-    popcount then mask value, representatives ordered by parts."""
+    """All partitions of n grouped by restricted mask (ordered as `_group`)."""
     if n < 2:
         raise SearchError(f"need n >= 2, got {n}")
     if n > cap:
         raise SearchError(f"full partition enumeration capped at n={cap}, got {n}")
     half = _universe(n)
-    groups = {}
-    for p in enumerate_partitions(n, cap=cap):
-        bits = partial_sums(p).bits & half
-        groups.setdefault(bits, []).append(p)
-    return [
-        MaskGroup(n=n, bits=bits, representatives=tuple(sorted(ps, key=lambda p: p.parts)))
-        for bits, ps in sorted(groups.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
-    ]
+    return _group(n, lambda p: partial_sums(p).bits & half, cap=cap)
 
 
 def _min_bit(x):
@@ -161,38 +165,33 @@ def match_witnesses(wsets):
 
 
 class _Engine:
-    """Shared DFS over candidate bit vectors.
+    """The branch-and-bound DFS over candidate bit vectors.
 
-    require_empty: demand the intersection over chosen vectors be empty
-    (property (1)); the descriptor variant drops it.
+    Every node whose members all keep a witness, the root included, goes to
+    ``visit(engine, chosen, wsets, inter)``: the chosen vector indices, their
+    witness sets, and the bits of the universe common to all chosen vectors.
+    The visitor records what it needs, may raise ``best_size``, and returns
+    whether to descend.  Rules (a) and (b) cut every child that cannot grow
+    past ``best_size``.
     """
 
-    def __init__(self, vectors, universe, *, require_empty, prune=True, seed=0):
+    def __init__(self, vectors, universe, visit, *, prune=True, best_size=0):
         self.vectors = vectors
         self.universe = universe
-        self.require_empty = require_empty
+        self.visit = visit
         self.prune = prune
-        self.best_size = max(seed - 1, 0)
-        self.seeded = seed > 0
-        self.best = None
+        self.best_size = best_size
         self.nodes = 0
         self.prunes = {"remaining": 0, "capacity": 0}
 
     def run(self):
         self._rec(0, [], [], self.universe)
-        if self.seeded and self.best is None:
-            raise SearchError(
-                "seeded lower bound exceeds the true maximum; incumbent is wrong"
-            )
-        return self.best
+        return self
 
     def _rec(self, start, chosen, wsets, inter):
         self.nodes += 1
-        if chosen and len(chosen) > self.best_size and (
-            not self.require_empty or inter == 0
-        ):
-            self.best_size = len(chosen)
-            self.best = (list(chosen), list(wsets))
+        if not self.visit(self, chosen, wsets, inter):
+            return
         for k in range(start, len(self.vectors)):
             if self.prune and len(chosen) + (len(self.vectors) - k) <= self.best_size:
                 self.prunes["remaining"] += 1
@@ -214,12 +213,51 @@ class _Engine:
 
 def _witness_map(members, wsets):
     """Each member's smallest witness, cross-checked by bipartite matching."""
+    for p, w in zip(members, wsets):
+        if w == 0:
+            raise SearchError(f"member {p} has no witness")
     if match_witnesses(wsets) is None:
         raise SearchError("witness sets non-empty yet unmatchable; theorem violated")
-    witness = {members[i]: _min_bit(wsets[i]) for i in range(len(members))}
+    witness = {p: _min_bit(w) for p, w in zip(members, wsets)}
     if len(set(witness.values())) != len(witness):
         raise SearchError("witness sets overlap; theorem violated")
     return witness
+
+
+def _search(n, groups, universe, *, require_empty, prune, seed=0, descriptors=()):
+    """Run the engine over the groups' vectors and report the first largest
+    family, one representative per group.  require_empty demands property
+    (1), an empty intersection; seed is a family size known to exist."""
+    best = None
+
+    def keep_largest(engine, chosen, wsets, inter):
+        nonlocal best
+        if len(chosen) > engine.best_size and not (require_empty and inter):
+            engine.best_size = len(chosen)
+            best = (list(chosen), list(wsets))
+        return True
+
+    vectors = [g.bits for g in groups]
+    engine = _Engine(
+        vectors, universe, keep_largest, prune=prune, best_size=max(seed - 1, 0)
+    ).run()
+    if best is None:  # one-member families always exist: only a seed gets here
+        raise SearchError(
+            "seeded lower bound exceeds the true maximum; incumbent is wrong"
+        )
+    idxs, wsets = best
+    members = tuple(groups[k].representatives[0] for k in idxs)
+    return SearchResult(
+        n=n,
+        t_max=len(members),
+        optimal_family=members,
+        witness_assignment=_witness_map(members, wsets),
+        masks=tuple(vectors[k] for k in idxs),
+        nodes_explored=engine.nodes,
+        exhaustive=True,
+        descriptors=descriptors,
+        prunes=engine.prunes,
+    )
 
 
 def max_family(n, *, cap=DEFAULT_ENUMERATION_CAP, known_lower_bound=0, prune=True):
@@ -232,28 +270,13 @@ def max_family(n, *, cap=DEFAULT_ENUMERATION_CAP, known_lower_bound=0, prune=Tru
     """
     if n < 5:
         raise SearchError(f"need n >= 5, got {n}")
-    groups = enumerate_masks(n, cap=cap)
-    engine = _Engine(
-        [g.bits for g in groups],
+    return _search(
+        n,
+        enumerate_masks(n, cap=cap),
         _universe(n),
         require_empty=True,
         prune=prune,
         seed=known_lower_bound,
-    )
-    found = engine.run()
-    if found is None:
-        raise SearchError(f"no valid family at n={n}")  # size 1 always exists
-    idxs, wsets = found
-    members = tuple(groups[k].representatives[0] for k in idxs)
-    return SearchResult(
-        n=n,
-        t_max=len(members),
-        optimal_family=members,
-        witness_assignment=_witness_map(members, wsets),
-        masks=tuple(groups[k].bits for k in idxs),
-        nodes_explored=engine.nodes,
-        exhaustive=True,
-        prunes=engine.prunes,
     )
 
 
@@ -263,30 +286,18 @@ def iter_families(n, size, *, cap=DEFAULT_ENUMERATION_CAP):
     if size < 1:
         raise SearchError("family size must be positive")
     groups = enumerate_masks(n, cap=cap)
-    vectors = [g.bits for g in groups]
-    universe = _universe(n)
+    found = []
 
-    def rec(start, chosen, wsets, inter):
-        if len(chosen) == size:
-            if inter == 0:
-                yield from itertools.product(
-                    *(groups[k].representatives for k in chosen)
-                )
-            return
-        for k in range(start, len(vectors)):
-            if len(chosen) + (len(vectors) - k) < size:
-                return
-            v = vectors[k]
-            common = inter & v
-            if len(chosen) + 1 + common.bit_count() < size:
-                continue
-            new_wsets = [w & v for w in wsets]
-            fresh = inter & ~v
-            if fresh == 0 or any(w == 0 for w in new_wsets):
-                continue
-            yield from rec(k + 1, chosen + [k], new_wsets + [fresh], common)
+    def collect(engine, chosen, wsets, inter):
+        if len(chosen) < size:
+            return True
+        if inter == 0:
+            found.append(list(chosen))
+        return False
 
-    yield from rec(0, [], [], universe)
+    _Engine([g.bits for g in groups], _universe(n), collect, best_size=size - 1).run()
+    for idxs in found:
+        yield from itertools.product(*(groups[k].representatives for k in idxs))
 
 
 def max_family_bruteforce(n, *, limit=14):
@@ -334,18 +345,10 @@ def max_family_bruteforce(n, *, limit=14):
 def descriptors(n):
     """Intransitive and imprimitive subgroup descriptors of degree n:
     set sizes 1..⌊n/2⌋, then block shapes (a, b) with ab = n, a, b >= 2."""
-    out = [("intransitive", s) for s in range(1, n // 2 + 1)]
-    out.extend(
-        ("imprimitive", a, n // a)
-        for a in range(2, n // 2 + 1)
-        if n % a == 0
+    return tuple(
+        [("intransitive", s) for s in range(1, n // 2 + 1)]
+        + [("imprimitive", a, n // a) for a in _divisors(n)[1:-1]]
     )
-    return tuple(out)
-
-
-def _meets(p, desc):
-    _, a, b = desc
-    return wreath_realizable(p, a, b)
 
 
 DESCRIPTOR_SEARCH_CAP = 24
@@ -361,36 +364,21 @@ def max_family_intransitive_imprimitive(n, *, cap=DESCRIPTOR_SEARCH_CAP, prune=T
         raise SearchError(f"descriptor search capped at n={cap}, got {n}")
     descs = descriptors(n)
     half = _universe(n)
-    blocks = descs[n // 2 :]
-    groups = {}
-    for p in enumerate_partitions(n):
+    blocks = tuple(enumerate(descs[n // 2 :], n // 2))
+
+    def vector(p):
         # descriptor d < n//2 is the intransitive size d + 1: a partial sum
         vec = (partial_sums(p).bits & half) >> 1
-        for j, desc in enumerate(blocks):
-            if _meets(p, desc):
-                vec |= 1 << (n // 2 + j)
-        groups.setdefault(vec, []).append(p)
-    ordered = sorted(groups.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
-    vectors = [vec for vec, _ in ordered]
-    engine = _Engine(
-        vectors,
+        for d, (_, a, b) in blocks:
+            if wreath_realizable(p, a, b):
+                vec |= 1 << d
+        return vec
+
+    return _search(
+        n,
+        _group(n, vector),
         (1 << len(descs)) - 1,
         require_empty=False,
         prune=prune,
-    )
-    found = engine.run()
-    if found is None:
-        raise SearchError(f"no descriptor family at n={n}")  # size 1 always exists
-    idxs, wsets = found
-    members = tuple(sorted(ordered[k][1], key=lambda p: p.parts)[0] for k in idxs)
-    return SearchResult(
-        n=n,
-        t_max=len(members),
-        optimal_family=members,
-        witness_assignment=_witness_map(members, wsets),
-        masks=tuple(vectors[k] for k in idxs),
-        nodes_explored=engine.nodes,
-        exhaustive=True,
         descriptors=descs,
-        prunes=engine.prunes,
     )

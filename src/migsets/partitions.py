@@ -56,6 +56,10 @@ class Partition:
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not the blocked setattr
+        return Partition, (self.parts,)
+
     @classmethod
     def from_text(cls, text: str) -> "Partition":
         """Parse ``7,5,1^3`` style text (any part order, optional spaces)."""

@@ -105,6 +105,19 @@ def test_criterion_8_wreath_enumeration():
     assert r.passed, r.detail
 
 
+def test_criterion_8_records_wrong_wreath_order(monkeypatch):
+    # a wrong group is a mismatch that fails the criterion, not a crash
+    from migsets.perms import PermGroup, from_cycles
+
+    def transposition_only(a, b):
+        return PermGroup(a * b, [from_cycles(a * b, [(0, 1)])])
+
+    monkeypatch.setattr(acceptance, "_wreath_group", transposition_only)
+    r = acceptance.criterion_8_wreath()
+    assert not r.passed
+    assert "wrong wreath order" in r.detail
+
+
 def test_criterion_8_partial_sums():
     r = acceptance.criterion_8_sums()
     assert r.passed, r.detail

@@ -158,6 +158,19 @@ def test_domain_errors():
         corollary_inequality(4)
 
 
+def test_report_invariants_are_checked(monkeypatch):
+    # explicit checks rather than asserts, so python -O keeps them
+    import migsets.bounds as b
+
+    monkeypatch.setattr(b, "count_binomial", lambda n: 5)
+    with pytest.raises(BoundsError, match="2\\^b >= n"):
+        bound_report(30)
+    monkeypatch.setattr(b, "count_binomial", lambda n: 0)
+    monkeypatch.setattr(b, "count_projective", lambda n: 4)
+    with pytest.raises(BoundsError, match="exceeds omega"):
+        bound_report(31)
+
+
 def test_upper_bound_frozen():
     assert upper_bound(12).upper == 6 + 6 + 1 + 0 + 0 - 1 == 12
     assert upper_bound(13).upper == 6 + 2 + 1 + 0 + 0 - 1 == 8

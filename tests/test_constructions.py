@@ -203,6 +203,19 @@ def test_first_member_patterns():
             assert mask.contains(s)
 
 
+def test_construction_invariants_are_checked(monkeypatch):
+    # the invariants are explicit checks, not asserts: they fire under -O too
+    import migsets.constructions as c
+
+    monkeypatch.setattr(c, "parity", lambda p: "even")
+    with pytest.raises(ConstructionError, match="construction invariant violated"):
+        build_x_family(13)
+    monkeypatch.undo()
+    monkeypatch.setattr(c, "_size_exceeds_half_minus_log", lambda n, k: False)
+    with pytest.raises(ConstructionError, match=re.escape("size > n/2 - log2(n)")):
+        build_x_family(40)
+
+
 def test_build_rejects_tiny_degrees():
     for n in (0, 1, 4):
         with pytest.raises(ConstructionError):

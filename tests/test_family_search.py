@@ -159,7 +159,22 @@ def test_capacity_rule_bounds_the_search():
     assert r.prunes["capacity"] > 0 and r.prunes["remaining"] > 0
 
 
+# nodes explored are machine-independent and part of `search --json`
+MAX_FAMILY_NODES = (4, 4, 7, 7, 10, 11, 15, 39, 21, 45, 69, 99)
+DESCRIPTOR_NODES = (4, 12, 7, 30, 12, 20, 15, 237, 21, 224, 178, 625)
+
+
+def test_node_counts_frozen():
+    degrees = range(5, 17)
+    assert tuple(max_family(n).nodes_explored for n in degrees) == MAX_FAMILY_NODES
+    got = tuple(max_family_intransitive_imprimitive(n).nodes_explored for n in degrees)
+    assert got == DESCRIPTOR_NODES
+
+
 def test_witness_map_rejects_broken_witness_sets():
+    # an empty witness set is named as such, not as a failed matching
+    with pytest.raises(SearchError, match="member b has no witness"):
+        _witness_map(("a", "b"), [0b10, 0])
     with pytest.raises(SearchError, match="unmatchable"):
         _witness_map(("a", "b"), [0b10, 0b10])
     # matchable (a->1, b->2) but both smallest witnesses are 1
@@ -318,6 +333,14 @@ def test_descriptor_list_n12():
     )
 
 
+def test_descriptor_list_matches_divisor_scan():
+    for n in range(2, 61):
+        sizes = range(1, n // 2 + 1)
+        blocks = [("imprimitive", a, n // a) for a in sizes[1:] if n % a == 0]
+        intransitive = [("intransitive", s) for s in sizes]
+        assert descriptors(n) == tuple(intransitive + blocks), n
+
+
 def test_descriptor_variant_dominates_mask_search():
     for n in range(5, 15):
         t_desc = max_family_intransitive_imprimitive(n).t_max
@@ -349,6 +372,10 @@ def test_descriptor_variant_witnesses():
                 assert meets(q, desc)
         assert d not in seen
         seen.add(d)
+    # each member's vector has bit d set iff it meets descriptor d
+    for p, vec in zip(r.optimal_family, r.masks):
+        for d, desc in enumerate(r.descriptors):
+            assert bool(vec >> d & 1) == meets(p, desc), (p, desc)
 
 
 def test_descriptor_variant_cap():

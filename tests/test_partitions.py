@@ -6,8 +6,11 @@ on actual permutations, and wreath membership is decided by listing every
 element of S_a wr S_b.
 """
 
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 import random
 from collections import Counter
 
@@ -15,6 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from migsets.constructions import build_x_family
+from migsets.family_search import max_family
 from migsets.partitions import (
     PartialSumMask,
     Partition,
@@ -471,3 +476,17 @@ def test_wreath_vs_element_enumeration(a, b):
     realizable = wreath_types_by_enumeration(a, b)
     for p in enumerate_partitions(a * b):
         assert wreath_realizable(p, a, b) == (p.parts in realizable), (p, a, b)
+
+
+def test_partition_values_pickle_and_copy():
+    p = Partition.from_text("7,5,1^3")
+    partial_sums(p)  # fills the cached mask slot
+    for back in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert back == p and back.parts == p.parts and back.n == p.n
+        assert partial_sums(back) == partial_sums(p)
+        with pytest.raises(AttributeError):
+            back.n = 3
+    for value in (build_x_family(13), max_family(9)):
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.deepcopy(value) == value
+    assert dataclasses.astuple(max_family(5))[:2] == (5, 2)
