@@ -145,7 +145,7 @@ def _cmd_search(args):
         if args.descriptors:
             r = max_family_intransitive_imprimitive(args.n)
         else:
-            r = max_family(args.n, known_lower_bound=args.seed)
+            r = max_family(args.n)
     except (SearchError, PartitionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -347,9 +347,6 @@ def _build_parser():
     p = sub.add_parser("search", help="exhaustive search for the largest family")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.add_argument(
-        "--seed", type=int, default=0, help="known lower bound to prune with"
-    )
     p.add_argument(
         "--descriptors",
         action="store_true",

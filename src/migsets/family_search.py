@@ -9,45 +9,37 @@ partial sums of x restricted to [1, n/2]:
 
 Witness sets of distinct members are pairwise disjoint: if i were a witness
 for both x and y, then i would lie in M_y (as a witness for x) and outside
-M_y (as a witness for y).  Two consequences are used freely below.  First, a
-valid family never repeats a restricted mask, so the search runs over
-distinct masks and treats partitions sharing a mask as interchangeable.
-Second, picking each member's smallest witness already yields an injective
-assignment, so per-node feasibility reduces to "all witness sets non-empty";
-a bipartite matching between members and witness integers exists exactly
-then, and `match_witnesses` re-derives the assignment that way as a
-cross-check.
+M_y (as a witness for y).  So a valid family never repeats a restricted
+mask, and picking each member's smallest witness already yields an
+injective assignment; `match_witnesses` re-derives one by bipartite
+matching as a cross-check.
 
-The branch-and-bound engine prunes by three rules, none of which can change
-the reported result (each only cuts branches that cannot beat the incumbent):
+Disjointness also turns the search around.  Choosing one witness b_x per
+member gives a set B of universe bits with M_x & B == B minus b_x for every
+x.  Conversely, a *witness set* -- a set B such that every bit b of B has a
+vector v with v & B == B ^ (1 << b) -- yields a family satisfying (2), one
+such vector per bit (the column of b), each with the private witness b;
+the members are distinct because their restrictions to B differ.  So the
+largest family is the largest witness set (up to property (1)), and witness
+sets are closed under subsets.  The search is one DFS over increasing
+universe bits that adds a bit only when every column of the enlarged set
+still has a vector.  A vector that fits column b lies inside some
+inclusion-maximal vector missing b, which fits too, so each column is
+checked against those maximal vectors alone.  The one bound cuts a branch
+when len(B) plus the bits left cannot beat the incumbent.
 
-  (a) capacity: every member added after vector v needs a private witness
-      inside inter & v (inter: the bits common to all chosen vectors), and
-      witness sets are disjoint, so a child can reach at most
-      len(chosen) + 1 + popcount(inter & v) members; it is skipped when
-      that is <= the incumbent size.  Evaluated per child, against the
-      current incumbent.  Its root case bounds every family by
-      popcount(universe) (⌊n/2⌋ for masks), so no separate depth cap is
-      needed.
-  (b) remaining: fewer candidates left than needed to beat the incumbent.
-  (c) seeding: an optional externally known family size starts the
-      incumbent one below it (only branches that cannot reach a size known
-      to exist are cut).
+Property (1) is settled by the realization step, run for every witness set
+that would beat the incumbent: it picks one vector per column, columns in
+increasing bit order and each column's candidates in group order, and takes
+the first pick whose AND over the universe is 0; a set with no such pick
+does not count.  The descriptor search has no property (1) and takes each
+column's first candidate.  The reported family is the pick in group order
+(groups ordered by popcount then value), one representative per group, so
+results are deterministic.
 
-All three searches run the one engine, `_Engine`, which hands every
-feasible node to a visit function of the caller's.  `max_family` and the
-descriptor search keep the first largest node and raise the incumbent;
-`iter_families` pins the incumbent one below the requested size, so (a) and
-(b) cut exactly the branches that cannot reach it, and records each family
-of that size without descending further.  Feasibility filtering is not a
-heuristic: supersets of an infeasible family are infeasible.
-`prune=False` switches (a) and (b) off, and `max_family_bruteforce` is a
-deliberately naive include/exclude oracle kept free of (a)-(c); both serve
-as cross-checks.
-
-Candidate masks are ordered by popcount then value, and the DFS explores
-index-increasing subsets, so the first optimum found is the
-lexicographically smallest mask sequence; reported results are deterministic.
+`iter_families` is a plain filter over combinations of the mask groups, and
+`max_family_bruteforce` a deliberately naive include/exclude oracle; both
+serve as references for the search.
 """
 
 from __future__ import annotations
@@ -88,11 +80,18 @@ class SearchResult:
     nodes_explored: int
     exhaustive: bool
     descriptors: tuple = ()  # set by the descriptor variant only
-    prunes: dict = field(default_factory=dict)  # rule name -> times it fired
+    prunes: dict = field(default_factory=dict)  # bound name -> times it fired
 
 
 def _universe(n):
     return (1 << (n // 2 + 1)) - 2  # bits 1..n//2
+
+
+def _check_degree(n, cap, *, low):
+    if n < low:
+        raise SearchError(f"need n >= {low}, got {n}")
+    if n > cap:
+        raise SearchError(f"full partition enumeration capped at n={cap}, got {n}")
 
 
 def _group(n, vector, *, cap=DEFAULT_ENUMERATION_CAP):
@@ -109,16 +108,17 @@ def _group(n, vector, *, cap=DEFAULT_ENUMERATION_CAP):
 
 def enumerate_masks(n, *, cap=DEFAULT_ENUMERATION_CAP):
     """All partitions of n grouped by restricted mask (ordered as `_group`)."""
-    if n < 2:
-        raise SearchError(f"need n >= 2, got {n}")
-    if n > cap:
-        raise SearchError(f"full partition enumeration capped at n={cap}, got {n}")
+    _check_degree(n, cap, low=2)
     half = _universe(n)
     return _group(n, lambda p: partial_sums(p).bits & half, cap=cap)
 
 
 def _min_bit(x):
     return (x & -x).bit_length() - 1
+
+
+def _bits(x):
+    return [b for b in range(x.bit_length()) if x >> b & 1]
 
 
 def leave_one_out(masks, full):
@@ -164,53 +164,6 @@ def match_witnesses(wsets):
     return {i: b for b, i in owner.items()}
 
 
-class _Engine:
-    """The branch-and-bound DFS over candidate bit vectors.
-
-    Every node whose members all keep a witness, the root included, goes to
-    ``visit(engine, chosen, wsets, inter)``: the chosen vector indices, their
-    witness sets, and the bits of the universe common to all chosen vectors.
-    The visitor records what it needs, may raise ``best_size``, and returns
-    whether to descend.  Rules (a) and (b) cut every child that cannot grow
-    past ``best_size``.
-    """
-
-    def __init__(self, vectors, universe, visit, *, prune=True, best_size=0):
-        self.vectors = vectors
-        self.universe = universe
-        self.visit = visit
-        self.prune = prune
-        self.best_size = best_size
-        self.nodes = 0
-        self.prunes = {"remaining": 0, "capacity": 0}
-
-    def run(self):
-        self._rec(0, [], [], self.universe)
-        return self
-
-    def _rec(self, start, chosen, wsets, inter):
-        self.nodes += 1
-        if not self.visit(self, chosen, wsets, inter):
-            return
-        for k in range(start, len(self.vectors)):
-            if self.prune and len(chosen) + (len(self.vectors) - k) <= self.best_size:
-                self.prunes["remaining"] += 1
-                return
-            v = self.vectors[k]
-            common = inter & v
-            if self.prune and len(chosen) + 1 + common.bit_count() <= self.best_size:
-                self.prunes["capacity"] += 1
-                continue
-            new_wsets = [w & v for w in wsets]
-            fresh = inter & ~v
-            if fresh == 0 or any(w == 0 for w in new_wsets):
-                continue
-            new_wsets.append(fresh)
-            chosen.append(k)
-            self._rec(k + 1, chosen, new_wsets, common)
-            chosen.pop()
-
-
 def _witness_map(members, wsets):
     """Each member's smallest witness, cross-checked by bipartite matching."""
     for p, w in zip(members, wsets):
@@ -224,60 +177,92 @@ def _witness_map(members, wsets):
     return witness
 
 
-def _search(n, groups, universe, *, require_empty, prune, seed=0, descriptors=()):
-    """Run the engine over the groups' vectors and report the first largest
-    family, one representative per group.  require_empty demands property
-    (1), an empty intersection; seed is a family size known to exist."""
-    best = None
+def _maximal(vectors):
+    """The inclusion-maximal vectors (a strict superset has more bits, so
+    it is met first)."""
+    out = []
+    for v in sorted(vectors, key=int.bit_count, reverse=True):
+        if all(v & w != v for w in out):
+            out.append(v)
+    return out
 
-    def keep_largest(engine, chosen, wsets, inter):
-        nonlocal best
-        if len(chosen) > engine.best_size and not (require_empty and inter):
-            engine.best_size = len(chosen)
-            best = (list(chosen), list(wsets))
-        return True
 
+def _realize(vectors, chosen, universe, require_empty):
+    """One vector index per column of the witness set ``chosen``: the first
+    pick, columns in bit order and candidates in index order, whose AND over
+    the universe is 0 (any pick without require_empty); None if none is."""
+    columns = [
+        [k for k, v in enumerate(vectors) if v & chosen == chosen ^ (1 << b)]
+        for b in _bits(chosen)
+    ]
+    failed = set()  # (column, AND so far) known to lead nowhere
+
+    def pick(i, common):
+        if i == len(columns):
+            return None if require_empty and common else []
+        if (i, common) in failed:
+            return None
+        for k in columns[i]:
+            rest = pick(i + 1, common & vectors[k])
+            if rest is not None:
+                return [k, *rest]
+        failed.add((i, common))
+        return None
+
+    return pick(0, universe)
+
+
+def _search(n, groups, universe, *, require_empty, descriptors=()):
+    """Find the first largest witness set over the groups' vectors whose
+    realization succeeds and report its family, one representative per
+    group.  require_empty demands property (1), an empty AND."""
     vectors = [g.bits for g in groups]
-    engine = _Engine(
-        vectors, universe, keep_largest, prune=prune, best_size=max(seed - 1, 0)
-    ).run()
-    if best is None:  # one-member families always exist: only a seed gets here
-        raise SearchError(
-            "seeded lower bound exceeds the true maximum; incumbent is wrong"
-        )
-    idxs, wsets = best
+    columns = _bits(universe)
+    maximal = {b: _maximal([v for v in vectors if not v >> b & 1]) for b in columns}
+    best = []
+    nodes = cuts = 0
+
+    def rec(chosen, size, start):
+        nonlocal best, nodes, cuts
+        nodes += 1
+        if size > len(best):
+            best = _realize(vectors, chosen, universe, require_empty) or best
+        for i in range(start, len(columns)):
+            if size + len(columns) - i <= len(best):
+                cuts += 1
+                return
+            grown = chosen | 1 << columns[i]
+            if all(
+                any(v & grown == grown ^ (1 << b) for v in maximal[b])
+                for b in _bits(grown)
+            ):
+                rec(grown, size + 1, i + 1)
+
+    rec(0, 0, 0)
+    idxs = sorted(best)
     members = tuple(groups[k].representatives[0] for k in idxs)
+    masks = tuple(vectors[k] for k in idxs)
+    _, others = leave_one_out(masks, universe)
     return SearchResult(
         n=n,
         t_max=len(members),
         optimal_family=members,
-        witness_assignment=_witness_map(members, wsets),
-        masks=tuple(vectors[k] for k in idxs),
-        nodes_explored=engine.nodes,
+        witness_assignment=_witness_map(
+            members, [o & ~m for o, m in zip(others, masks)]
+        ),
+        masks=masks,
+        nodes_explored=nodes,
         exhaustive=True,
         descriptors=descriptors,
-        prunes=engine.prunes,
+        prunes={"bound": cuts},
     )
 
 
-def max_family(n, *, cap=DEFAULT_ENUMERATION_CAP, known_lower_bound=0, prune=True):
-    """Exact maximum family size, with a lexicographically smallest optimal
-    family and its witness assignment.
-
-    known_lower_bound may carry the size of a family known to exist (e.g.
-    from the explicit construction); it only seeds the incumbent, never
-    changes the result.
-    """
-    if n < 5:
-        raise SearchError(f"need n >= 5, got {n}")
-    return _search(
-        n,
-        enumerate_masks(n, cap=cap),
-        _universe(n),
-        require_empty=True,
-        prune=prune,
-        seed=known_lower_bound,
-    )
+def max_family(n, *, cap=DEFAULT_ENUMERATION_CAP):
+    """Exact maximum family size, with the first optimal family of the
+    witness-set search and its witness assignment."""
+    _check_degree(n, cap, low=5)
+    return _search(n, enumerate_masks(n, cap=cap), _universe(n), require_empty=True)
 
 
 def iter_families(n, size, *, cap=DEFAULT_ENUMERATION_CAP):
@@ -285,19 +270,12 @@ def iter_families(n, size, *, cap=DEFAULT_ENUMERATION_CAP):
     lexicographic over mask indices, then over representative choices."""
     if size < 1:
         raise SearchError("family size must be positive")
-    groups = enumerate_masks(n, cap=cap)
-    found = []
-
-    def collect(engine, chosen, wsets, inter):
-        if len(chosen) < size:
-            return True
-        if inter == 0:
-            found.append(list(chosen))
-        return False
-
-    _Engine([g.bits for g in groups], _universe(n), collect, best_size=size - 1).run()
-    for idxs in found:
-        yield from itertools.product(*(groups[k].representatives for k in idxs))
+    universe = _universe(n)
+    for combo in itertools.combinations(enumerate_masks(n, cap=cap), size):
+        masks = [g.bits for g in combo]
+        common, others = leave_one_out(masks, universe)
+        if common == 0 and all(o & ~m for o, m in zip(others, masks)):
+            yield from itertools.product(*(g.representatives for g in combo))
 
 
 def max_family_bruteforce(n, *, limit=14):
@@ -351,17 +329,11 @@ def descriptors(n):
     )
 
 
-DESCRIPTOR_SEARCH_CAP = 24
-
-
-def max_family_intransitive_imprimitive(n, *, cap=DESCRIPTOR_SEARCH_CAP, prune=True):
+def max_family_intransitive_imprimitive(n, *, cap=DEFAULT_ENUMERATION_CAP):
     """Largest family of classes each privately avoiding one intransitive or
     imprimitive descriptor while meeting all the others' (the descriptor
     analogue of max_family, without the empty-intersection demand)."""
-    if n < 5:
-        raise SearchError(f"need n >= 5, got {n}")
-    if n > cap:
-        raise SearchError(f"descriptor search capped at n={cap}, got {n}")
+    _check_degree(n, cap, low=5)
     descs = descriptors(n)
     half = _universe(n)
     blocks = tuple(enumerate(descs[n // 2 :], n // 2))
@@ -376,9 +348,8 @@ def max_family_intransitive_imprimitive(n, *, cap=DESCRIPTOR_SEARCH_CAP, prune=T
 
     return _search(
         n,
-        _group(n, vector),
+        _group(n, vector, cap=cap),
         (1 << len(descs)) - 1,
         require_empty=False,
-        prune=prune,
         descriptors=descs,
     )

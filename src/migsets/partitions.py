@@ -287,35 +287,41 @@ def wreath_realizable(p: Partition, a: int, b: int) -> bool:
     the m's over all groups sum to b.  Conversely any such grouping is
     realizable, so backtracking over groupings decides membership exactly.
     Groups are anchored on the largest remaining part to kill symmetry.
+    The backtracking keeps its own stack of pending choices, since one level
+    per group would exceed Python's recursion limit at a few thousand blocks.
+    A state met again is skipped: every step removes parts, so it is not on
+    the current path, and it was already explored without success.
     """
     if a < 2 or b < 2:
         raise PartitionError(f"need block size and count >= 2, got a={a}, b={b}")
     if a * b != p.n:
         raise PartitionError(f"need a*b = n: {a}*{b} != {p.n}")
 
-    memo: dict[tuple, bool] = {}
+    seen = set()
+    stack = [iter([(p.multiplicities(), b)])]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+        elif state not in seen:
+            seen.add(state)
+            items, blocks_left = state
+            if not items:
+                if blocks_left == 0:
+                    return True
+            else:
+                stack.append(_next_states(items, blocks_left, a))
+    return False
 
-    def feasible(items: tuple[tuple[int, int], ...], blocks_left: int) -> bool:
-        if not items:
-            return blocks_left == 0
-        key = (items, blocks_left)
-        if key in memo:
-            return memo[key]
-        anchor = items[0][0]
-        ok = False
-        for m in _divisors(anchor):
-            if m > blocks_left or m * a < anchor:
-                continue
+
+def _next_states(items, blocks_left, a):
+    """The (items, blocks_left) states reached by removing one group that
+    holds the largest remaining part and spans m blocks."""
+    anchor = items[0][0]
+    for m in _divisors(anchor):
+        if m <= blocks_left and m * a >= anchor:
             for rest in _anchor_groups(items, m, m * a):
-                if feasible(rest, blocks_left - m):
-                    ok = True
-                    break
-            if ok:
-                break
-        memo[key] = ok
-        return ok
-
-    return feasible(p.multiplicities(), b)
+                yield rest, blocks_left - m
 
 
 def _anchor_groups(items, m, target):

@@ -229,7 +229,8 @@ def test_search_json(capsys):
     assert data["t_max"] == 4
     assert data["exhaustive"] is True
     assert len(data["family"]) == 4
-    assert set(data["prunes"]) == {"remaining", "capacity"}
+    assert set(data["prunes"]) == {"bound"}
+    assert data["prunes"]["bound"] > 0
 
 
 def test_search_descriptors(capsys):

@@ -281,6 +281,14 @@ def test_verify_mig_lower_bound_replay_sweep():
         assert "replay" in cert["checks"]["method"]["detail"]
 
 
+def test_verify_mig_lower_bound_degree_4000():
+    # the block checks backtrack over up to n/2 groups, more levels than
+    # Python's recursion limit allows
+    cert = verify_mig_lower_bound(build_x_family(4000))
+    assert all(v["pass"] for v in cert["checks"].values())
+    assert "2002,1^1998 fits no S_2000 wr S_2" in cert["checks"]["blocks"]["detail"]
+
+
 def test_verify_mig_lower_bound_block_details():
     # prime degree: there is no block system to eliminate
     cert = verify_mig_lower_bound(build_x_family(13))

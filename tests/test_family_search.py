@@ -1,6 +1,5 @@
 """Tests for the exact family search."""
 
-import dataclasses
 import itertools
 import math
 import random
@@ -10,6 +9,8 @@ import pytest
 from migsets.family_search import (
     MaskGroup,
     SearchError,
+    _min_bit,
+    _search,
     _witness_map,
     descriptors,
     enumerate_masks,
@@ -20,7 +21,12 @@ from migsets.family_search import (
     max_family_bruteforce,
     max_family_intransitive_imprimitive,
 )
-from migsets.partitions import Partition, partial_sums
+from migsets.partitions import (
+    Partition,
+    is_partial_sum,
+    partial_sums,
+    wreath_realizable,
+)
 
 
 def bits(*values):
@@ -124,23 +130,70 @@ def test_bruteforce_degree_limit():
         max_family_bruteforce(15)
 
 
-def _answer(r):
-    """The result without its search statistics."""
-    return dataclasses.replace(r, nodes_explored=0, prunes={})
+def _meets(p, desc):
+    if desc[0] == "intransitive":
+        return is_partial_sum(p, desc[1])
+    return wreath_realizable(p, desc[1], desc[2])
+
+
+def _largest_witness_family(vectors, universe):
+    """Include/exclude over distinct vectors: the largest subset in which
+    every member keeps a private witness."""
+    best = 0
+
+    def witnesses_ok(chosen):
+        for i, v in enumerate(chosen):
+            w = universe & ~v
+            for j, other in enumerate(chosen):
+                if j != i:
+                    w &= other
+            if w == 0:
+                return False
+        return True
+
+    def rec(idx, chosen):
+        nonlocal best
+        best = max(best, len(chosen))
+        if idx == len(vectors):
+            return
+        if witnesses_ok(chosen + [vectors[idx]]):
+            rec(idx + 1, chosen + [vectors[idx]])
+        rec(idx + 1, chosen)
+
+    rec(0, [])
+    return best
 
 
 def test_pruning_does_not_change_answer():
-    for search in (max_family, max_family_intransitive_imprimitive):
-        for n in range(5, 17):
-            pruned, unpruned = search(n), search(n, prune=False)
-            assert _answer(pruned) == _answer(unpruned), (search.__name__, n)
-            assert list(pruned.witness_assignment) == list(unpruned.witness_assignment)
-            assert unpruned.prunes == {"remaining": 0, "capacity": 0}
+    # the descriptor search against include/exclude over its vectors, each
+    # built from the descriptor definitions
+    for n in range(5, 14):
+        descs = descriptors(n)
+        vectors = sorted(
+            {
+                sum(1 << d for d, desc in enumerate(descs) if _meets(p, desc))
+                for p in _all_partitions(n)
+            }
+        )
+        r = max_family_intransitive_imprimitive(n)
+        assert r.t_max == _largest_witness_family(vectors, (1 << len(descs)) - 1), n
+        assert set(r.masks) <= set(vectors)
 
 
-# exact t_max tables; the drop from 11 at n=25 to 10 at n=26 is real
-MAX_FAMILY_T = dict(zip(range(12, 26), (4, 5, 5, 6, 6, 7, 7, 7, 8, 8, 9, 9, 10, 11)))
-DESCRIPTOR_T = dict(zip(range(12, 24), (5, 5, 5, 6, 6, 7, 7, 7, 8, 8, 9, 9)))
+# exact t_max tables; the drops from 11 at n=25 to 10 at n=26 are real
+MAX_FAMILY_T = dict(
+    zip(
+        range(12, 41),
+        (4, 5, 5, 6, 6, 7, 7, 7, 8, 8, 9, 9, 10, 11, 10, 11, 12, 12, 12)
+        + (13, 13, 14, 14, 15, 15, 16, 16, 17, 17),
+    )
+)
+DESCRIPTOR_T = dict(
+    zip(
+        range(12, 33),
+        (5, 5, 5, 6, 6, 7, 7, 7, 8, 8, 9, 9, 10, 11, 10, 11, 12, 12, 12, 13, 13),
+    )
+)
 
 
 def test_max_family_frozen_table():
@@ -152,16 +205,44 @@ def test_descriptor_variant_frozen_table():
     assert got == DESCRIPTOR_T
 
 
-def test_capacity_rule_bounds_the_search():
-    # without the capacity rule n=22 explores 2.49M nodes
-    r = max_family(22)
-    assert r.nodes_explored < 10_000
-    assert r.prunes["capacity"] > 0 and r.prunes["remaining"] > 0
+def test_search_node_budget():
+    assert max_family(30).nodes_explored < 10_000
+    assert max_family_intransitive_imprimitive(24).nodes_explored < 10_000
+
+
+# reported families at the degrees where the witness-set search picks a
+# different optimum than the first family in mask order
+FROZEN_FAMILIES = {
+    9: ("7,1^2", "5,3,1", "3,2^3"),
+    13: ("9,1^4", "5^2,1^3", "7,4,1^2", "5,4,3,1", "3,2^5"),
+    23: (
+        "13,4^2,1^2",
+        "8^2,5,1^2",
+        "14,1^9",
+        "13,6,1^4",
+        "11,6,4,1^2",
+        "12,5,4,1^2",
+        "6,4^4,1",
+        "5,2^9",
+        "11,7,1^5",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(FROZEN_FAMILIES))
+def test_max_family_frozen_families(n):
+    r = max_family(n)
+    assert tuple(p.text() for p in r.optimal_family) == FROZEN_FAMILIES[n]
+    common, others = leave_one_out(list(r.masks), (1 << (n // 2 + 1)) - 2)
+    assert common == 0
+    assert [r.witness_assignment[p] for p in r.optimal_family] == [
+        _min_bit(o & ~m) for o, m in zip(others, r.masks)
+    ]
 
 
 # nodes explored are machine-independent and part of `search --json`
-MAX_FAMILY_NODES = (4, 4, 7, 7, 10, 11, 15, 39, 21, 45, 69, 99)
-DESCRIPTOR_NODES = (4, 12, 7, 30, 12, 20, 15, 237, 21, 224, 178, 625)
+MAX_FAMILY_NODES = (3, 3, 4, 4, 4, 5, 5, 14, 6, 18, 16, 25)
+DESCRIPTOR_NODES = (3, 8, 4, 17, 10, 20, 5, 82, 6, 66, 54, 156)
 
 
 def test_node_counts_frozen():
@@ -182,16 +263,30 @@ def test_witness_map_rejects_broken_witness_sets():
         _witness_map(("a", "b"), [0b10, 0b110])
 
 
-def test_known_lower_bound_seeding():
-    base = max_family(11)
-    seeded = max_family(11, known_lower_bound=3)
-    assert seeded.t_max == base.t_max == 4
-    assert seeded.optimal_family == base.optimal_family
-    assert seeded.nodes_explored <= base.nodes_explored
-    exact = max_family(11, known_lower_bound=4)
-    assert exact.t_max == 4
-    with pytest.raises(SearchError):
-        max_family(11, known_lower_bound=5)
+def _hand_built(*vectors):
+    return [
+        MaskGroup(n=0, bits=bits(*v), representatives=(f"v{k}",))
+        for k, v in enumerate(vectors)
+    ]
+
+
+def test_realization_skips_a_first_pick_with_common_bits():
+    # witness set {1, 2}: column 1 first picks {2, 3}, whose AND with
+    # column 2's {1, 3} keeps bit 3; the later pick {2} empties it
+    groups = _hand_built((2, 3), (1, 3), (2,))
+    r = _search(0, groups, bits(1, 2, 3), require_empty=True)
+    assert r.t_max == 2
+    assert r.optimal_family == ("v1", "v2")
+    assert r.witness_assignment == {"v1": 2, "v2": 1}
+
+
+def test_realization_failure_lowers_t():
+    # {1, 2} is the only witness set of size 2 and every pick keeps bit 3
+    groups = _hand_built((2, 3), (1, 3), ())
+    assert _search(0, groups, bits(1, 2, 3), require_empty=False).t_max == 2
+    r = _search(0, groups, bits(1, 2, 3), require_empty=True)
+    assert r.t_max == 1
+    assert r.optimal_family == ("v2",)
 
 
 def test_sandwich_bounds():
@@ -380,7 +475,7 @@ def test_descriptor_variant_witnesses():
 
 def test_descriptor_variant_cap():
     with pytest.raises(SearchError):
-        max_family_intransitive_imprimitive(25)
+        max_family_intransitive_imprimitive(41)
 
 
 def test_nodes_explored_counts_and_determinism():

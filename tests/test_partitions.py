@@ -468,6 +468,12 @@ def test_wreath_rejects_bad_arguments():
         wreath_realizable(Partition([6]), 1, 6)
 
 
+def test_wreath_many_blocks():
+    # one backtracking step per group, 3000 groups deep
+    assert wreath_realizable(Partition([2] * 3000), 2, 3000) is True
+    assert wreath_realizable(Partition([2] * 2999 + [1, 1]), 3, 2000) is True
+
+
 @pytest.mark.parametrize(
     "a,b",
     [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 5), (5, 2), (2, 6), (6, 2), (3, 4), (4, 3)],

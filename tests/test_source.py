@@ -20,6 +20,35 @@ def test_package_has_no_assert_statements():
     assert not found, found
 
 
+def test_search_knobs_stay_deleted():
+    # the witness-set search has one bound and nothing to switch or seed
+    found = []
+    for path in sorted((ROOT / "src" / "migsets").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.ClassDef) and node.name == "_Engine":
+                found.append(f"{where} class _Engine")
+            elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                names = args.posonlyargs + args.args + args.kwonlyargs
+                found += [
+                    f"{where} parameter {a.arg}"
+                    for a in names
+                    if a.arg in ("prune", "known_lower_bound")
+                ]
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument"
+                and any(
+                    isinstance(a, ast.Constant) and a.value == "--seed"
+                    for a in node.args
+                )
+            ):
+                found.append(f"{where} flag --seed")
+    assert not found, found
+
+
 def test_readme_examples_run():
     result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
     assert result.attempted >= 5
