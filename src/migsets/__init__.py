@@ -46,6 +46,7 @@ from .partitions import (
     partial_sums,
     power_type,
     wreath_realizable,
+    wreath_types,
 )
 from .perms import PermGroup, cycle_type, format_cycles, from_cycles, parse_cycles
 from .subgroup_oracle import (
@@ -103,5 +104,6 @@ __all__ = [
     "verify_mig_lower_bound",
     "verify_x_family",
     "wreath_realizable",
+    "wreath_types",
     "__version__",
 ]

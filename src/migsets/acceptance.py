@@ -37,6 +37,7 @@ from .partitions import (
     enumerate_partitions,
     partial_sums,
     wreath_realizable,
+    wreath_types,
 )
 from .perms import PermGroup, cycle_type, from_cycles
 from .subgroup_oracle import incidence_mask, is_mig_set
@@ -254,8 +255,8 @@ def _wreath_group(a, b):
 
 
 def criterion_8_wreath():
-    """wreath_realizable agrees with element-level enumeration for every
-    partition of every n <= 8 and every block shape."""
+    """wreath_realizable and wreath_types agree with element-level
+    enumeration for every partition of every n <= 8 and every block shape."""
     start = time.time()
     mismatches = []
     for n in range(4, 9):
@@ -268,6 +269,8 @@ def criterion_8_wreath():
                 mismatches.append((n, a, b, "wrong wreath order"))
                 continue
             types = {cycle_type(g) for g in group.elements()}
+            if wreath_types(a, b) != {p.parts for p in types}:
+                mismatches.append((n, a, b, "wreath_types"))
             for p in enumerate_partitions(n):
                 if wreath_realizable(p, a, b) != (p in types):
                     mismatches.append((n, a, b, p.text()))

@@ -66,7 +66,7 @@ def _print_checks(cert):
 def _cmd_lemma(args):
     try:
         info = verify_lemma(lemma_partition(args.i, args.n))
-    except ConstructionError as exc:
+    except (ConstructionError, PartitionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if args.json:
@@ -101,7 +101,7 @@ def _cmd_construct(args):
 
 
 def _load_family(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or not isinstance(data.get("witnesses", {}), dict):
         raise TypeError("expected an object with a member list and a witness map")
@@ -120,11 +120,13 @@ def _load_family(path):
 def _cmd_verify(args):
     try:
         xf = _load_family(args.family)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"error: cannot read family: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except (PartitionError, ConstructionError) as exc:
         print(f"error: malformed family: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except (OSError, ValueError, RecursionError, KeyError, TypeError) as exc:
+        # ValueError: not UTF-8, not JSON, or a number of over 4300 digits;
+        # RecursionError: nesting too deep for the JSON decoder
+        print(f"error: cannot read family: {exc}", file=sys.stderr)
         return USAGE_ERROR
     cert = verify_x_family(xf, raise_on_failure=False)
     if xf.n >= 11 and args.lower_bound:
@@ -223,14 +225,14 @@ def _parse_classes(text, n):
 def _cmd_oracle(args):
     try:
         if args.classes_file:
-            with open(args.classes_file) as fh:
+            with open(args.classes_file, encoding="utf-8") as fh:
                 text = fh.read()
         else:
             text = args.classes
         classes = _parse_classes(text, args.n)
         records = maximal_subgroups(args.n)
         common, leave_one_out = incidence(classes, args.n)
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         print(f"error: cannot read class list: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (PartitionError, OracleError) as exc:

@@ -35,7 +35,9 @@ from .family_search import (
     max_family,
 )
 from .partitions import (
+    DEFAULT_SUM_CAP,
     Partition,
+    PartitionTooLarge,
     _divisors,
     jordan_witness,
     parity,
@@ -77,6 +79,11 @@ def lemma_partition(i, n):
         raise ConstructionError(f"need i >= 1, got {i}")
     if 3 * i >= n:
         raise ConstructionError(f"need i < n/3, got i={i}, n={n}")
+    if n > DEFAULT_SUM_CAP:
+        # verify_lemma's partial-sum DP refuses it; fail before building
+        raise PartitionTooLarge(
+            f"partial-sum DP capped at n={DEFAULT_SUM_CAP}, got {n}"
+        )
     if n == 4 * i + 2:
         parts = [1] * (i - 1) + [i + 1] * 3
         tag = "n_eq_4i_plus_2"

@@ -37,6 +37,12 @@ column's first candidate.  The reported family is the pick in group order
 (groups ordered by popcount then value), one representative per group, so
 results are deterministic.
 
+In the descriptor search a class's vector has one bit per descriptor it
+meets: a partial sum s of its type for the intransitive S_s x S_{n-s}, and
+membership of its type in `wreath_types(a, b)` for the imprimitive
+S_a wr S_b.  Each block shape's set of types is built once per search,
+instead of one `wreath_realizable` call per partition and shape.
+
 `iter_families` is a plain filter over combinations of the mask groups, and
 `max_family_bruteforce` a deliberately naive include/exclude oracle; both
 serve as references for the search.
@@ -52,7 +58,7 @@ from .partitions import (
     _divisors,
     enumerate_partitions,
     partial_sums,
-    wreath_realizable,
+    wreath_types,
 )
 
 
@@ -336,13 +342,16 @@ def max_family_intransitive_imprimitive(n, *, cap=DEFAULT_ENUMERATION_CAP):
     _check_degree(n, cap, low=5)
     descs = descriptors(n)
     half = _universe(n)
-    blocks = tuple(enumerate(descs[n // 2 :], n // 2))
+    blocks = [
+        (d, wreath_types(a, b, cap=cap))
+        for d, (_, a, b) in enumerate(descs[n // 2 :], n // 2)
+    ]
 
     def vector(p):
         # descriptor d < n//2 is the intransitive size d + 1: a partial sum
         vec = (partial_sums(p).bits & half) >> 1
-        for d, (_, a, b) in blocks:
-            if wreath_realizable(p, a, b):
+        for d, types in blocks:
+            if p.parts in types:
                 vec |= 1 << d
         return vec
 

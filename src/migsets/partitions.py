@@ -66,15 +66,25 @@ class Partition:
         if not isinstance(text, str):
             raise PartitionError(f"partition text must be a string, got {text!r}")
         parts = []
+        total = 0
         for token in text.split(","):
             token = token.replace(" ", "")
             m = _TOKEN.match(token)
             if not m:
                 raise PartitionError(f"bad partition token {token!r} in {text!r}")
-            value = int(m.group(1))
-            count = int(m.group(2)) if m.group(2) else 1
+            try:
+                value = int(m.group(1))
+                count = int(m.group(2)) if m.group(2) else 1
+            except ValueError:  # more digits than int() parses: past the cap
+                value = count = DEFAULT_SUM_CAP + 1
             if value < 1 or count < 1:
                 raise PartitionError(f"bad partition token {token!r} in {text!r}")
+            # the running total is checked before a token is expanded
+            total += value * count
+            if total > DEFAULT_SUM_CAP:
+                raise PartitionTooLarge(
+                    f"partition text sums past the cap {DEFAULT_SUM_CAP}: {text[:40]!r}"
+                )
             parts.extend([value] * count)
         return cls(parts)
 
@@ -118,14 +128,32 @@ def enumerate_partitions(n: int, *, cap: int = DEFAULT_ENUMERATION_CAP):
     if n > cap:
         raise PartitionTooLarge(f"partition enumeration capped at {cap}, got n={n}")
 
-    def rec(remaining, largest, prefix):
-        if remaining == 0:
-            yield Partition(prefix)
+    # Each step lowers the last part x > 1 by one and refills the tail with
+    # copies of x - 1 and a remainder: the next partition in this order.
+    parts = [n]
+    while True:
+        yield _unchecked(tuple(parts), n)
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
             return
-        for a in range(min(remaining, largest), 0, -1):
-            yield from rec(remaining - a, a, prefix + (a,))
+        x = parts.pop() - 1
+        q, r = divmod(x + ones + 1, x)
+        parts.extend([x] * q)
+        if r:
+            parts.append(r)
 
-    yield from rec(n, n, ())
+
+def _unchecked(parts, n):
+    """A Partition of n from parts known to be positive and non-increasing,
+    without __init__'s checks and sort."""
+    p = object.__new__(Partition)
+    object.__setattr__(p, "parts", parts)
+    object.__setattr__(p, "n", n)
+    object.__setattr__(p, "_mask", None)
+    return p
 
 
 @dataclass(frozen=True)
@@ -312,6 +340,32 @@ def wreath_realizable(p: Partition, a: int, b: int) -> bool:
             else:
                 stack.append(_next_states(items, blocks_left, a))
     return False
+
+
+def wreath_types(a: int, b: int, *, cap: int = DEFAULT_ENUMERATION_CAP) -> set:
+    """The cycle types (parts tuples) of all elements of S_a wr S_b.
+
+    The grouping of `wreath_realizable`, built bottom-up: an m-cycle of the
+    top permutation on blocks contributes m*lam for some lam |- a, and the
+    m's sum to b.  That is an unbounded knapsack with one set of types per
+    block count k: a group (m, lam) extends the types on k - m blocks.
+    Taking the groups one at a time, each in increasing k, builds every
+    multiset of groups once.  Each set holds at most p(ab) types, so ab is
+    capped like partition enumeration."""
+    if a < 2 or b < 2:
+        raise PartitionError(f"need block size and count >= 2, got a={a}, b={b}")
+    if a * b > cap:
+        raise PartitionTooLarge(f"wreath types capped at n={cap}, got {a}*{b}")
+    shapes = [lam.parts for lam in enumerate_partitions(a)]
+    levels = [{()}] + [set() for _ in range(b)]
+    for m in range(1, b + 1):
+        for lam in shapes:
+            group = tuple(m * x for x in lam)
+            for k in range(m, b + 1):
+                levels[k].update(
+                    tuple(sorted(t + group, reverse=True)) for t in levels[k - m]
+                )
+    return levels[b]
 
 
 def _next_states(items, blocks_left, a):

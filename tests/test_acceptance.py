@@ -118,6 +118,19 @@ def test_criterion_8_records_wrong_wreath_order(monkeypatch):
     assert "wrong wreath order" in r.detail
 
 
+def test_criterion_8_records_wreath_types_mismatch(monkeypatch):
+    # wreath_types is checked against the enumerated group as a whole
+    from migsets.partitions import wreath_types
+
+    def missing_one(a, b):
+        return wreath_types(a, b) - {(a * b,)}
+
+    monkeypatch.setattr(acceptance, "wreath_types", missing_one)
+    r = acceptance.criterion_8_wreath()
+    assert not r.passed
+    assert "wreath_types" in r.detail
+
+
 def test_criterion_8_partial_sums():
     r = acceptance.criterion_8_sums()
     assert r.passed, r.detail

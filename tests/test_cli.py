@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from migsets.cli import main
 from migsets.constructions import build_x_family
@@ -19,6 +23,12 @@ def test_lemma_eight_one(capsys):
     out = capsys.readouterr().out
     assert "3^2,2" in out
     assert "[1, 4, 7]" in out
+
+
+def test_lemma_degree_past_cap(capsys):
+    # refused before a 50-million-part list is built
+    assert main(["lemma", "--i", "1", "--n", "100000000"]) == 2
+    _assert_one_line_error(capsys)
 
 
 def test_lemma_json(capsys):
@@ -138,6 +148,25 @@ def test_verify_rejects_garbage(tmp_path, capsys):
 def _assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_verify_rejects_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"members": ["3,2\xff"]}')
+    assert main(["verify", str(path)]) == 2
+    _assert_one_line_error(capsys)
+
+
+def test_verify_rejects_oversized_input(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for text in (
+        json.dumps({"members": ["1^3000000"]}),  # refused before expanding
+        "9" * 5000,  # more digits than int() parses
+        "[" * 100_000,  # deeper than the JSON decoder recurses
+    ):
+        path.write_text(text)
+        assert main(["verify", str(path)]) == 2
+        _assert_one_line_error(capsys)
 
 
 def test_verify_rejects_non_string_member(tmp_path, capsys):
@@ -359,6 +388,47 @@ def test_oracle_errors(capsys):
     assert main(["oracle", "--n", "13", "--classes", "(13)"]) == 2
     assert main(["oracle", "--n", "6", "--classes", ";;"]) == 2
     assert main(["oracle", "--n", "6", "--classes-file", "/nonexistent"]) == 2
+
+
+def test_oracle_rejects_non_utf8_file_and_huge_exponent(tmp_path, capsys):
+    listing = tmp_path / "classes.txt"
+    listing.write_bytes(b"4,1\n3,1^3\xe9\n")
+    assert main(["oracle", "--n", "6", "--classes-file", str(listing)]) == 2
+    _assert_one_line_error(capsys)
+    assert main(["oracle", "--n", "6", "--classes", "1^3000000"]) == 2
+    _assert_one_line_error(capsys)
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, err.getvalue()
+
+
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@FUZZ
+@given(
+    n=st.integers(min_value=5, max_value=8),
+    text=st.text(alphabet="0123456789^,;() \n-x", max_size=24),
+)
+def test_oracle_classes_fuzz(n, text):
+    code, err = _run_quietly(["oracle", "--n", str(n), f"--classes={text}"])
+    assert code in (0, 1, 2) and "Traceback" not in err, (text, err)
+
+
+@FUZZ
+@given(data=st.binary(max_size=64))
+def test_verify_file_fuzz(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_bytes(data)
+    code, err = _run_quietly(["verify", str(path)])
+    assert code in (0, 1, 2) and "Traceback" not in err, (data, err)
 
 
 def test_repro_only(capsys):

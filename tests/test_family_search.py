@@ -473,6 +473,20 @@ def test_descriptor_variant_witnesses():
             assert bool(vec >> d & 1) == meets(p, desc), (p, desc)
 
 
+def test_descriptor_search_builds_wreath_types_once(monkeypatch):
+    # the descriptor vectors come from wreath_types, not from a
+    # wreath_realizable call per partition and block shape
+    from migsets import family_search, partitions
+
+    def refuse(*args):
+        raise AssertionError("wreath_realizable called")
+
+    monkeypatch.setattr(partitions, "wreath_realizable", refuse)
+    monkeypatch.setattr(family_search, "wreath_realizable", refuse, raising=False)
+    for n in (16, 24):
+        assert max_family_intransitive_imprimitive(n).t_max == DESCRIPTOR_T[n]
+
+
 def test_descriptor_variant_cap():
     with pytest.raises(SearchError):
         max_family_intransitive_imprimitive(41)

@@ -33,6 +33,7 @@ from migsets.partitions import (
     partial_sums,
     power_type,
     wreath_realizable,
+    wreath_types,
 )
 
 
@@ -173,6 +174,22 @@ def test_text_rejects_garbage():
             Partition.from_text(bad)
 
 
+def test_text_total_is_capped_before_expanding():
+    # 20000 ones would be a 20000-element list; the cap refuses it first
+    for big in ["1^20000", "5000,5001", "2^4000,1^2001", "1^" + "9" * 5000]:
+        with pytest.raises(PartitionTooLarge):
+            Partition.from_text(big)
+    assert Partition.from_text("5000,4999,1").n == 10_000
+    assert Partition.from_text("0001^007").parts == (1,) * 7
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=40))
+def test_text_round_trip_property(parts):
+    p = Partition(parts)
+    assert Partition.from_text(p.text()) == p
+
+
 def test_enumerate_partitions_counts():
     # p(n) for n = 1..10
     expected = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
@@ -189,6 +206,19 @@ def test_enumerate_partitions_order_is_deterministic():
     assert first == second
     assert first[0] == (6,)
     assert first[-1] == (1, 1, 1, 1, 1, 1)
+
+
+def test_enumerated_partitions_are_checked_partitions():
+    # enumeration skips Partition's checks; each value must still be one
+    for n in range(1, 21):
+        ps = list(enumerate_partitions(n))
+        assert [p.parts for p in ps] == sorted({p.parts for p in ps}, reverse=True)
+        for p in ps:
+            checked = Partition(list(p.parts))
+            assert p == checked and p.parts == checked.parts and p.n == checked.n == n
+            back = pickle.loads(pickle.dumps(p))
+            assert back == p and back.n == n and back.parts == p.parts
+    assert len(list(enumerate_partitions(20))) == 627
 
 
 def test_enumerate_partitions_cap():
@@ -480,8 +510,26 @@ def test_wreath_many_blocks():
 )
 def test_wreath_vs_element_enumeration(a, b):
     realizable = wreath_types_by_enumeration(a, b)
+    assert wreath_types(a, b) == realizable
     for p in enumerate_partitions(a * b):
         assert wreath_realizable(p, a, b) == (p.parts in realizable), (p, a, b)
+
+
+def test_wreath_types_match_realizable():
+    for n in range(4, 21):
+        for a in [d for d in range(2, n // 2 + 1) if n % d == 0]:
+            b = n // a
+            expected = {p.parts for p in enumerate_partitions(n) if wreath_realizable(p, a, b)}
+            assert wreath_types(a, b) == expected, (a, b)
+
+
+def test_wreath_types_rejects_bad_arguments():
+    for a, b in [(1, 6), (6, 1), (0, 4)]:
+        with pytest.raises(PartitionError):
+            wreath_types(a, b)
+    with pytest.raises(PartitionTooLarge):
+        wreath_types(2, 21)
+    assert len(wreath_types(2, 21, cap=42)) > 0
 
 
 def test_partition_values_pickle_and_copy():
