@@ -66,7 +66,14 @@ class CriterionResult:
         return self.passed or self.expected_failure
 
 
-def criterion_1(time_budget=30.0):
+# wall-clock budgets (s) of the two sweeps, and the random partial-sum check
+GAP_SWEEP_BUDGET = 30.0
+FAMILY_SWEEP_BUDGET = 120.0
+SUM_SAMPLES = 10_000
+SUM_SEED = 2024
+
+
+def criterion_1():
     """Gap partitions verify for every 5 <= n <= 300, 1 <= i < n/3."""
     start = time.time()
     count = 0
@@ -80,15 +87,15 @@ def criterion_1(time_budget=30.0):
     return CriterionResult(
         1,
         "gap partition sweep",
-        elapsed < time_budget,
+        elapsed < GAP_SWEEP_BUDGET,
         False,
         elapsed,
         f"{count} (i, n) pairs verified"
-        + ("" if elapsed < time_budget else f"; over {time_budget}s budget"),
+        + ("" if elapsed < GAP_SWEEP_BUDGET else f"; over {GAP_SWEEP_BUDGET}s budget"),
     )
 
 
-def criterion_2(time_budget=120.0):
+def criterion_2():
     """Families for 5 <= n <= 500 satisfy all three defining properties."""
     start = time.time()
     for n in range(5, 501):
@@ -97,11 +104,11 @@ def criterion_2(time_budget=120.0):
     return CriterionResult(
         2,
         "family construction sweep",
-        elapsed < time_budget,
+        elapsed < FAMILY_SWEEP_BUDGET,
         False,
         elapsed,
         "degrees 5..500 verified"
-        + ("" if elapsed < time_budget else f"; over {time_budget}s budget"),
+        + ("" if elapsed < FAMILY_SWEEP_BUDGET else f"; over {FAMILY_SWEEP_BUDGET}s budget"),
     )
 
 
@@ -286,13 +293,13 @@ def criterion_8_wreath():
     )
 
 
-def criterion_8_sums(samples=10_000, seed=2024):
+def criterion_8_sums():
     """partial_sums agrees with explicit subset accumulation on random
     partitions of up to 20 parts."""
     start = time.time()
-    rng = random.Random(seed)
+    rng = random.Random(SUM_SEED)
     mismatches = 0
-    for _ in range(samples):
+    for _ in range(SUM_SAMPLES):
         k = rng.randint(1, 20)
         parts = [rng.randint(1, 12) for _ in range(k)]
         p = Partition(parts)
@@ -317,7 +324,7 @@ def criterion_8_sums(samples=10_000, seed=2024):
         mismatches == 0,
         False,
         time.time() - start,
-        f"{samples} random partitions, {mismatches} mismatches",
+        f"{SUM_SAMPLES} random partitions, {mismatches} mismatches",
     )
 
 

@@ -9,9 +9,9 @@ with C(d, k) = n and k ≤ d/2), and c_n counts perfect-power shapes
 can hide inside one kind of maximal subgroup, less the overlaps a finer
 analysis removes.
 
-b_n is taken at k ≥ 2 by default: the k = 1 pair (n, 1) corresponds to the
-natural action itself, not a proper subgroup.  The k ≥ 1 reading stays
-available through a flag since the source definition is ambiguous.
+b_n is taken at k ≥ 2: the k = 1 pair (n, 1) corresponds to the natural
+action itself, not a proper subgroup.  Since the source definition is
+ambiguous, reports also carry the k ≥ 1 reading, b_n + 1 (`b_with_k1`).
 
 All gating comparisons are exact integer arithmetic; in particular the
 closing inequality 2√n + 3·log2(n) ≤ n/2 is decided by interval refinement
@@ -67,24 +67,20 @@ def count_projective(n):
     return count
 
 
-def _binomial(d, k):
-    return math.comb(d, k)
-
-
-def count_binomial(n, *, include_k1=False):
-    """b_n: pairs (d, k) with k <= d/2 and C(d, k) = n.
+def count_binomial(n):
+    """b_n: pairs (d, k) with 2 <= k <= d/2 and C(d, k) = n.
 
     k stays below log2(n) because C(2k, k) > 2^k; for each k the value is
     monotone in d, so binary search finds the only possible d."""
     if n < 2:
         raise BoundsError(f"need n >= 2, got {n}")
-    count = 1 if include_k1 else 0  # the pair (n, 1)
+    count = 0
     k = 2
-    while _binomial(2 * k, k) <= n:
+    while math.comb(2 * k, k) <= n:
         lo, hi = 2 * k, 2 * k + n  # C(2k + n, k) >= n for k >= 2
         while lo <= hi:
             d = (lo + hi) // 2
-            val = _binomial(d, k)
+            val = math.comb(d, k)
             if val == n:
                 count += 1
                 break

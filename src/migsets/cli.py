@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
-import os
 import sys
 
 from .acceptance import run as run_acceptance
-from .bounds import bound_report
+from .bounds import bound_report, table1_lookup
 from .constructions import (
     ConstructionError,
     build_x_family,
@@ -46,6 +44,9 @@ from .subgroup_oracle import (
 )
 
 USAGE_ERROR = 2
+
+# the most degrees one `bounds` sweep computes, checked before the first row
+MAX_SWEEP_DEGREES = 10_000
 
 
 def _family_payload(xf):
@@ -175,33 +176,22 @@ def _cmd_search(args):
     return 0
 
 
-def _bounds_row(n):
-    r = bound_report(n)
-    hits = ",".join(f"{label}:{k}" for label, k in r.as_dict()["table1_hits"]) or "-"
-    return r, hits
-
-
 def _cmd_bounds(args):
     lo = args.lo
     hi = args.hi if args.hi is not None else lo
     if lo < 5 or hi < lo:
         print("error: need 5 <= FROM <= TO", file=sys.stderr)
         return USAGE_ERROR
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.jobs <= cpus:
-        print(f"error: --jobs must be between 1 and {cpus}", file=sys.stderr)
+    if hi - lo + 1 > MAX_SWEEP_DEGREES:
+        print(f"error: a sweep covers at most {MAX_SWEEP_DEGREES} degrees", file=sys.stderr)
         return USAGE_ERROR
-    degrees = range(lo, hi + 1)
-    if args.jobs > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
-            rows = pool.map(_bounds_row, degrees)
-    else:
-        rows = [_bounds_row(n) for n in degrees]
+    rows = [bound_report(n) for n in range(lo, hi + 1)]
     if args.json:
-        print(json.dumps([r.as_dict() for r, _ in rows]))
+        print(json.dumps([r.as_dict() for r in rows]))
         return 0
     print("n\tdelta\ta\tb\tc\tlower\tupper\ttable1")
-    for r, hits in rows:
+    for r in rows:
+        hits = ",".join(f"{label}:{k}" for label, k in table1_lookup(r.n)) or "-"
         b = r.b_with_k1 if args.k1 else r.b
         print(f"{r.n}\t{r.delta}\t{r.a}\t{b}\t{r.c}\t{r.lower:.3f}\t{r.upper}\t{hits}")
     return 0
@@ -361,7 +351,6 @@ def _build_parser():
     p.add_argument("--to", dest="hi", type=int, metavar="N")
     p.add_argument("--json", action="store_true")
     p.add_argument("--k1", action="store_true", help="count k=1 binomial solutions")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser(

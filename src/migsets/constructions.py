@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .family_search import (
+    _bits,
     _min_bit,
     _universe,
     _witness_map,
@@ -381,7 +382,7 @@ def verify_x_family(xf, *, raise_on_failure=True):
         inter == 0,
         "no common partial sum"
         if inter == 0
-        else f"common partial sums {sorted(_bits_list(inter))}",
+        else f"common partial sums {_bits(inter)}",
     )
 
     bad = []
@@ -411,14 +412,6 @@ def verify_x_family(xf, *, raise_on_failure=True):
     if raise_on_failure:
         _raise_if_failed(cert, "family verification")
     return cert
-
-
-def _bits_list(x):
-    out = []
-    while x:
-        out.append(_min_bit(x))
-        x &= x - 1
-    return out
 
 
 def verify_mig_lower_bound(xf, *, raise_on_failure=True):

@@ -62,6 +62,10 @@ from .partitions import (
 )
 
 
+# The include/exclude oracle doubles its work per mask; refuse past this.
+BRUTEFORCE_LIMIT = 14
+
+
 class SearchError(ValueError):
     """Search preconditions violated (degree out of range, cap exceeded)."""
 
@@ -93,18 +97,20 @@ def _universe(n):
     return (1 << (n // 2 + 1)) - 2  # bits 1..n//2
 
 
-def _check_degree(n, cap, *, low):
+def _check_degree(n, *, low):
     if n < low:
         raise SearchError(f"need n >= {low}, got {n}")
-    if n > cap:
-        raise SearchError(f"full partition enumeration capped at n={cap}, got {n}")
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise SearchError(
+            f"full partition enumeration capped at n={DEFAULT_ENUMERATION_CAP}, got {n}"
+        )
 
 
-def _group(n, vector, *, cap=DEFAULT_ENUMERATION_CAP):
+def _group(n, vector):
     """All partitions of n grouped by ``vector(p)``; groups ordered by
     popcount then vector value, representatives ordered by parts."""
     groups = {}
-    for p in enumerate_partitions(n, cap=cap):
+    for p in enumerate_partitions(n):
         groups.setdefault(vector(p), []).append(p)
     return [
         MaskGroup(n=n, bits=bits, representatives=tuple(sorted(ps, key=lambda p: p.parts)))
@@ -112,11 +118,11 @@ def _group(n, vector, *, cap=DEFAULT_ENUMERATION_CAP):
     ]
 
 
-def enumerate_masks(n, *, cap=DEFAULT_ENUMERATION_CAP):
+def enumerate_masks(n):
     """All partitions of n grouped by restricted mask (ordered as `_group`)."""
-    _check_degree(n, cap, low=2)
+    _check_degree(n, low=2)
     half = _universe(n)
-    return _group(n, lambda p: partial_sums(p).bits & half, cap=cap)
+    return _group(n, lambda p: partial_sums(p).bits & half)
 
 
 def _min_bit(x):
@@ -264,33 +270,33 @@ def _search(n, groups, universe, *, require_empty, descriptors=()):
     )
 
 
-def max_family(n, *, cap=DEFAULT_ENUMERATION_CAP):
+def max_family(n):
     """Exact maximum family size, with the first optimal family of the
     witness-set search and its witness assignment."""
-    _check_degree(n, cap, low=5)
-    return _search(n, enumerate_masks(n, cap=cap), _universe(n), require_empty=True)
+    _check_degree(n, low=5)
+    return _search(n, enumerate_masks(n), _universe(n), require_empty=True)
 
 
-def iter_families(n, size, *, cap=DEFAULT_ENUMERATION_CAP):
+def iter_families(n, size):
     """All valid families of exactly the given size, in deterministic order:
     lexicographic over mask indices, then over representative choices."""
     if size < 1:
         raise SearchError("family size must be positive")
     universe = _universe(n)
-    for combo in itertools.combinations(enumerate_masks(n, cap=cap), size):
+    for combo in itertools.combinations(enumerate_masks(n), size):
         masks = [g.bits for g in combo]
         common, others = leave_one_out(masks, universe)
         if common == 0 and all(o & ~m for o, m in zip(others, masks)):
             yield from itertools.product(*(g.representatives for g in combo))
 
 
-def max_family_bruteforce(n, *, limit=14):
+def max_family_bruteforce(n):
     """Independent slow oracle: include/exclude over distinct masks with a
     from-scratch validity check at every completed subset.  The only
     speed-up is abandoning supersets of witness-infeasible sets, which is
     part of validity, not a bound."""
-    if n > limit:
-        raise SearchError(f"naive oracle limited to n <= {limit}")
+    if n > BRUTEFORCE_LIMIT:
+        raise SearchError(f"naive oracle limited to n <= {BRUTEFORCE_LIMIT}")
     masks = [g.bits for g in enumerate_masks(n)]
     universe = _universe(n)
 
@@ -335,15 +341,15 @@ def descriptors(n):
     )
 
 
-def max_family_intransitive_imprimitive(n, *, cap=DEFAULT_ENUMERATION_CAP):
+def max_family_intransitive_imprimitive(n):
     """Largest family of classes each privately avoiding one intransitive or
     imprimitive descriptor while meeting all the others' (the descriptor
     analogue of max_family, without the empty-intersection demand)."""
-    _check_degree(n, cap, low=5)
+    _check_degree(n, low=5)
     descs = descriptors(n)
     half = _universe(n)
     blocks = [
-        (d, wreath_types(a, b, cap=cap))
+        (d, wreath_types(a, b))
         for d, (_, a, b) in enumerate(descs[n // 2 :], n // 2)
     ]
 
@@ -357,7 +363,7 @@ def max_family_intransitive_imprimitive(n, *, cap=DEFAULT_ENUMERATION_CAP):
 
     return _search(
         n,
-        _group(n, vector, cap=cap),
+        _group(n, vector),
         (1 << len(descs)) - 1,
         require_empty=False,
         descriptors=descs,

@@ -18,10 +18,10 @@ from collections import Counter
 from dataclasses import dataclass
 
 # Bit-vector DP over n+1 bits is quadratic in n; this cap keeps accidental
-# huge inputs from stalling, and callers may raise it explicitly.
+# huge inputs from stalling; partition text is refused past it too.
 DEFAULT_SUM_CAP = 10_000
 
-# Full partition enumeration is exponential; refuse past this unless asked.
+# Full partition enumeration is exponential; refuse past this degree.
 DEFAULT_ENUMERATION_CAP = 40
 
 
@@ -118,15 +118,17 @@ class Partition:
         return self.text()
 
 
-def enumerate_partitions(n: int, *, cap: int = DEFAULT_ENUMERATION_CAP):
+def enumerate_partitions(n: int):
     """Yield all partitions of n, parts descending, in reverse-lexicographic
     order: (n) first, (1^n) last.  The order is part of the contract; the
     first partition carrying a given property is used as its canonical
     representative elsewhere in the package."""
     if n < 1:
         raise PartitionError(f"need n >= 1, got {n}")
-    if n > cap:
-        raise PartitionTooLarge(f"partition enumeration capped at {cap}, got n={n}")
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise PartitionTooLarge(
+            f"partition enumeration capped at {DEFAULT_ENUMERATION_CAP}, got n={n}"
+        )
 
     # Each step lowers the last part x > 1 by one and refills the tail with
     # copies of x - 1 and a remainder: the next partition in this order.
@@ -189,10 +191,10 @@ class PartialSumMask:
         return s == s[::-1]
 
 
-def partial_sums(p: Partition, *, cap: int = DEFAULT_SUM_CAP) -> PartialSumMask:
+def partial_sums(p: Partition) -> PartialSumMask:
     """Subset-sum DP over a bit vector; each part usable once per occurrence."""
-    if p.n > cap:
-        raise PartitionTooLarge(f"partial-sum DP capped at n={cap}, got {p.n}")
+    if p.n > DEFAULT_SUM_CAP:
+        raise PartitionTooLarge(f"partial-sum DP capped at n={DEFAULT_SUM_CAP}, got {p.n}")
     if p._mask is not None:
         return p._mask
     bits = 1
@@ -342,7 +344,7 @@ def wreath_realizable(p: Partition, a: int, b: int) -> bool:
     return False
 
 
-def wreath_types(a: int, b: int, *, cap: int = DEFAULT_ENUMERATION_CAP) -> set:
+def wreath_types(a: int, b: int) -> set:
     """The cycle types (parts tuples) of all elements of S_a wr S_b.
 
     The grouping of `wreath_realizable`, built bottom-up: an m-cycle of the
@@ -354,8 +356,10 @@ def wreath_types(a: int, b: int, *, cap: int = DEFAULT_ENUMERATION_CAP) -> set:
     capped like partition enumeration."""
     if a < 2 or b < 2:
         raise PartitionError(f"need block size and count >= 2, got a={a}, b={b}")
-    if a * b > cap:
-        raise PartitionTooLarge(f"wreath types capped at n={cap}, got {a}*{b}")
+    if a * b > DEFAULT_ENUMERATION_CAP:
+        raise PartitionTooLarge(
+            f"wreath types capped at n={DEFAULT_ENUMERATION_CAP}, got {a}*{b}"
+        )
     shapes = [lam.parts for lam in enumerate_partitions(a)]
     levels = [{()}] + [set() for _ in range(b)]
     for m in range(1, b + 1):

@@ -236,8 +236,9 @@ class PermGroup:
         residue, _ = self._strip(p, 0)
         return residue == self._identity
 
-    def elements(self, cap=DEFAULT_ELEMENT_CAP):
+    def elements(self):
         """All elements, in a deterministic order.  Raises above the cap."""
+        cap = PermGroup.DEFAULT_ELEMENT_CAP
         if self.order() > cap:
             raise PermError(f"group order {self.order()} exceeds cap {cap}")
         current = [self._identity]

@@ -112,8 +112,6 @@ def test_count_binomial_frozen():
     assert count_binomial(22) == 0
     assert count_binomial(3003) == 3  # C(78,2), C(15,5), C(14,6)
     assert math.comb(15, 5) == 3003 and math.comb(14, 6) == 3003
-    for n in (2, 10, 3003):
-        assert count_binomial(n, include_k1=True) == count_binomial(n) + 1
 
 
 def test_count_perfect_power_against_naive():

@@ -1,12 +1,12 @@
 import contextlib
 import io
 import json
-import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from migsets import cli
 from migsets.cli import main
 from migsets.constructions import build_x_family
 
@@ -297,19 +297,12 @@ def test_bounds_k1_flag(capsys):
     assert int(plain.split("\t")[3]) + 1 == int(flagged.split("\t")[3])
 
 
-def test_bounds_jobs_matches_serial(capsys):
-    assert main(["bounds", "--from", "30", "--to", "40"]) == 0
-    serial = capsys.readouterr().out
-    jobs = str(min(2, os.cpu_count()))
-    assert main(["bounds", "--from", "30", "--to", "40", "--jobs", jobs]) == 0
-    assert capsys.readouterr().out == serial
-
-
-@pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
-def test_bounds_rejects_jobs_out_of_range(jobs, capsys):
-    # all rejected before a worker pool is built
-    assert main(["bounds", "--from", "30", "--to", "40", "--jobs", str(jobs)]) == 2
-    assert capsys.readouterr().err.startswith("error: --jobs must be between 1 and")
+@pytest.mark.parametrize("hi", ["10005", "100000000"])
+def test_bounds_refuses_oversized_sweep(hi, capsys, monkeypatch):
+    # refused before the first row: bound_report is never called
+    monkeypatch.setattr(cli, "bound_report", None)
+    assert main(["bounds", "--from", "5", "--to", hi]) == 2
+    assert capsys.readouterr().err.startswith("error: a sweep covers at most 10000 degrees")
 
 
 def test_bounds_json(capsys):

@@ -20,8 +20,22 @@ def test_package_has_no_assert_statements():
     assert not found, found
 
 
+# single-valued options turned into module constants
+DELETED_PARAMETERS = (
+    "prune",
+    "known_lower_bound",
+    "cap",
+    "limit",
+    "include_k1",
+    "time_budget",
+    "samples",
+    "seed",
+)
+
+
 def test_search_knobs_stay_deleted():
-    # the witness-set search has one bound and nothing to switch or seed
+    # the witness-set search has one bound and nothing to switch or seed;
+    # caps, budgets and sample counts are constants, not parameters
     found = []
     for path in sorted((ROOT / "src" / "migsets").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -34,18 +48,18 @@ def test_search_knobs_stay_deleted():
                 found += [
                     f"{where} parameter {a.arg}"
                     for a in names
-                    if a.arg in ("prune", "known_lower_bound")
+                    if a.arg in DELETED_PARAMETERS
                 ]
             elif (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "add_argument"
                 and any(
-                    isinstance(a, ast.Constant) and a.value == "--seed"
+                    isinstance(a, ast.Constant) and a.value in ("--seed", "--jobs")
                     for a in node.args
                 )
             ):
-                found.append(f"{where} flag --seed")
+                found.append(f"{where} flag {node.args[0].value}")
     assert not found, found
 
 
