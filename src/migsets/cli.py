@@ -214,13 +214,13 @@ def _parse_classes(text, n):
 
 def _cmd_oracle(args):
     try:
+        records = maximal_subgroups(args.n)  # refuse the degree before padding
         if args.classes_file:
             with open(args.classes_file, encoding="utf-8") as fh:
                 text = fh.read()
         else:
             text = args.classes
         classes = _parse_classes(text, args.n)
-        records = maximal_subgroups(args.n)
         common, leave_one_out = incidence(classes, args.n)
     except (OSError, UnicodeError) as exc:
         print(f"error: cannot read class list: {exc}", file=sys.stderr)

@@ -391,7 +391,7 @@ def verify_x_family(xf, *, raise_on_failure=True):
         claimed = xf.witnesses.get(p, 0)
         if w == 0:
             bad.append(f"{p} has empty witness set")
-        elif not w >> claimed & 1:
+        elif claimed < 1 or not w >> claimed & 1:
             bad.append(f"claimed witness {claimed} of {p} is not valid")
         elif claimed in seen:
             bad.append(f"witness {claimed} reused by {seen[claimed]} and {p}")

@@ -11,8 +11,8 @@ Witness sets of distinct members are pairwise disjoint: if i were a witness
 for both x and y, then i would lie in M_y (as a witness for x) and outside
 M_y (as a witness for y).  So a valid family never repeats a restricted
 mask, and picking each member's smallest witness already yields an
-injective assignment; `match_witnesses` re-derives one by bipartite
-matching as a cross-check.
+injective assignment.  `match_witnesses`, a bipartite matching, is kept
+only as the tests' reference for that argument.
 
 Disjointness also turns the search around.  Choosing one witness b_x per
 member gives a set B of universe bits with M_x & B == B minus b_x for every
@@ -28,14 +28,13 @@ inclusion-maximal vector missing b, which fits too, so each column is
 checked against those maximal vectors alone.  The one bound cuts a branch
 when len(B) plus the bits left cannot beat the incumbent.
 
-Property (1) is settled by the realization step, run for every witness set
-that would beat the incumbent: it picks one vector per column, columns in
-increasing bit order and each column's candidates in group order, and takes
-the first pick whose AND over the universe is 0; a set with no such pick
-does not count.  The descriptor search has no property (1) and takes each
-column's first candidate.  The reported family is the pick in group order
+The reported family realizes the first largest witness set B once: for
+each column of B, in bit order, the lowest group index whose vector fits
 (groups ordered by popcount then value), one representative per group, so
-results are deterministic.
+results are deterministic.  `max_family` then checks property (1) on that
+pick and raises `SearchError` if its AND over the universe is not 0; the
+first pick has had an empty AND at every degree 5..40, so no search over
+other picks is kept.  The descriptor search has no property (1).
 
 In the descriptor search a class's vector has one bit per descriptor it
 meets: a partial sum s of its type for the intransitive S_s x S_{n-s}, and
@@ -177,12 +176,11 @@ def match_witnesses(wsets):
 
 
 def _witness_map(members, wsets):
-    """Each member's smallest witness, cross-checked by bipartite matching."""
+    """Each member's smallest witness; distinct when the witness sets are
+    disjoint, as the theorem above says they are."""
     for p, w in zip(members, wsets):
         if w == 0:
             raise SearchError(f"member {p} has no witness")
-    if match_witnesses(wsets) is None:
-        raise SearchError("witness sets non-empty yet unmatchable; theorem violated")
     witness = {p: _min_bit(w) for p, w in zip(members, wsets)}
     if len(set(witness.values())) != len(witness):
         raise SearchError("witness sets overlap; theorem violated")
@@ -199,48 +197,22 @@ def _maximal(vectors):
     return out
 
 
-def _realize(vectors, chosen, universe, require_empty):
-    """One vector index per column of the witness set ``chosen``: the first
-    pick, columns in bit order and candidates in index order, whose AND over
-    the universe is 0 (any pick without require_empty); None if none is."""
-    columns = [
-        [k for k, v in enumerate(vectors) if v & chosen == chosen ^ (1 << b)]
-        for b in _bits(chosen)
-    ]
-    failed = set()  # (column, AND so far) known to lead nowhere
-
-    def pick(i, common):
-        if i == len(columns):
-            return None if require_empty and common else []
-        if (i, common) in failed:
-            return None
-        for k in columns[i]:
-            rest = pick(i + 1, common & vectors[k])
-            if rest is not None:
-                return [k, *rest]
-        failed.add((i, common))
-        return None
-
-    return pick(0, universe)
-
-
-def _search(n, groups, universe, *, require_empty, descriptors=()):
-    """Find the first largest witness set over the groups' vectors whose
-    realization succeeds and report its family, one representative per
-    group.  require_empty demands property (1), an empty AND."""
+def _search(n, groups, universe, *, descriptors=()):
+    """Find the first largest witness set over the groups' vectors and
+    report its first pick as the family, one representative per group."""
     vectors = [g.bits for g in groups]
     columns = _bits(universe)
     maximal = {b: _maximal([v for v in vectors if not v >> b & 1]) for b in columns}
-    best = []
+    best = 0
     nodes = cuts = 0
 
     def rec(chosen, size, start):
         nonlocal best, nodes, cuts
         nodes += 1
-        if size > len(best):
-            best = _realize(vectors, chosen, universe, require_empty) or best
+        if size > best.bit_count():
+            best = chosen
         for i in range(start, len(columns)):
-            if size + len(columns) - i <= len(best):
+            if size + len(columns) - i <= best.bit_count():
                 cuts += 1
                 return
             grown = chosen | 1 << columns[i]
@@ -251,7 +223,11 @@ def _search(n, groups, universe, *, require_empty, descriptors=()):
                 rec(grown, size + 1, i + 1)
 
     rec(0, 0, 0)
-    idxs = sorted(best)
+    # the first pick: each column's lowest vector index, listed in group order
+    idxs = sorted(
+        next(k for k, v in enumerate(vectors) if v & best == best ^ (1 << b))
+        for b in _bits(best)
+    )
     members = tuple(groups[k].representatives[0] for k in idxs)
     masks = tuple(vectors[k] for k in idxs)
     _, others = leave_one_out(masks, universe)
@@ -271,10 +247,18 @@ def _search(n, groups, universe, *, require_empty, descriptors=()):
 
 
 def max_family(n):
-    """Exact maximum family size, with the first optimal family of the
-    witness-set search and its witness assignment."""
+    """Exact maximum family size, with the first pick of the first largest
+    witness set and its witness assignment; SearchError if that pick shares
+    a partial sum."""
     _check_degree(n, low=5)
-    return _search(n, enumerate_masks(n), _universe(n), require_empty=True)
+    universe = _universe(n)
+    r = _search(n, enumerate_masks(n), universe)
+    common, _ = leave_one_out(r.masks, universe)
+    if common:
+        raise SearchError(
+            f"property (1) fails: every member has partial sums {_bits(common)}"
+        )
+    return r
 
 
 def iter_families(n, size):
@@ -365,6 +349,5 @@ def max_family_intransitive_imprimitive(n):
         n,
         _group(n, vector),
         (1 << len(descs)) - 1,
-        require_empty=False,
         descriptors=descs,
     )

@@ -123,11 +123,16 @@ def test_verify_tampered_family(tmp_path, capsys):
             ("10,1" if k == "9,1^2" else k): v for k, v in data["witnesses"].items()
         }
 
-    path = _write_family(tmp_path, 11, mutate=swap_tail)
-    assert main(["verify", str(path)]) == 1
-    out = capsys.readouterr().out
-    assert "property2: FAIL" in out
-    assert "verdict: INVALID" in out
+    def negative_witness(data):
+        # reported like any other invalid witness, not as a traceback
+        data["witnesses"][data["members"][0]] = -1
+
+    for mutate in (swap_tail, negative_witness):
+        path = _write_family(tmp_path, 11, mutate=mutate)
+        assert main(["verify", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "property2: FAIL" in out
+        assert "verdict: INVALID" in out
 
 
 def test_verify_recomputes_missing_witnesses(tmp_path):
@@ -381,6 +386,17 @@ def test_oracle_errors(capsys):
     assert main(["oracle", "--n", "13", "--classes", "(13)"]) == 2
     assert main(["oracle", "--n", "6", "--classes", ";;"]) == 2
     assert main(["oracle", "--n", "6", "--classes-file", "/nonexistent"]) == 2
+
+
+@pytest.mark.parametrize("n", [13, 100_000_000])
+def test_oracle_refuses_degree_before_parsing(monkeypatch, capsys, n):
+    # padding every class to degree n would cost time and memory linear in n
+    def refuse(*args):
+        raise AssertionError("classes parsed before the degree was checked")
+
+    monkeypatch.setattr(cli, "_parse_classes", refuse)
+    assert main(["oracle", "--n", str(n), "--classes", "(5)"]) == 2
+    assert "outside supported range" in capsys.readouterr().err
 
 
 def test_oracle_rejects_non_utf8_file_and_huge_exponent(tmp_path, capsys):

@@ -254,11 +254,15 @@ def test_verify_x_family_rejects_tampering():
 
 def test_verify_x_family_rejects_wrong_claimed_witness():
     xf = build_x_family(13)
-    fudged = family_from_members(
-        xf.members, {p: (3 if w == 1 else w) for p, w in xf.witnesses.items()}
-    )
-    cert = verify_x_family(fudged, raise_on_failure=False)
-    assert not cert["checks"]["property2"]["pass"]
+    # a negative witness is reported like any other invalid one
+    for wrong in (3, -1):
+        fudged = family_from_members(
+            xf.members, {p: (wrong if w == 1 else w) for p, w in xf.witnesses.items()}
+        )
+        cert = verify_x_family(fudged, raise_on_failure=False)
+        assert not cert["checks"]["property2"]["pass"]
+        with pytest.raises(ConstructionError):
+            verify_x_family(fudged)
 
 
 def test_verify_mig_lower_bound_range():

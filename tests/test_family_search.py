@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from migsets import family_search
 from migsets.family_search import (
     MaskGroup,
     SearchError,
@@ -256,7 +257,8 @@ def test_witness_map_rejects_broken_witness_sets():
     # an empty witness set is named as such, not as a failed matching
     with pytest.raises(SearchError, match="member b has no witness"):
         _witness_map(("a", "b"), [0b10, 0])
-    with pytest.raises(SearchError, match="unmatchable"):
+    # unmatchable, and both smallest witnesses are 1
+    with pytest.raises(SearchError, match="overlap"):
         _witness_map(("a", "b"), [0b10, 0b10])
     # matchable (a->1, b->2) but both smallest witnesses are 1
     with pytest.raises(SearchError, match="overlap"):
@@ -270,23 +272,18 @@ def _hand_built(*vectors):
     ]
 
 
-def test_realization_skips_a_first_pick_with_common_bits():
-    # witness set {1, 2}: column 1 first picks {2, 3}, whose AND with
-    # column 2's {1, 3} keeps bit 3; the later pick {2} empties it
+def test_first_pick_with_common_bits_is_refused(monkeypatch):
+    # {1, 2} is the first largest witness set: column 1 first picks
+    # {2, 3}, whose AND with column 2's {1, 3} keeps bit 3 (the later
+    # pick {2} would empty it, but only the first pick is taken)
     groups = _hand_built((2, 3), (1, 3), (2,))
-    r = _search(0, groups, bits(1, 2, 3), require_empty=True)
+    r = _search(0, groups, bits(1, 2, 3))
     assert r.t_max == 2
-    assert r.optimal_family == ("v1", "v2")
-    assert r.witness_assignment == {"v1": 2, "v2": 1}
-
-
-def test_realization_failure_lowers_t():
-    # {1, 2} is the only witness set of size 2 and every pick keeps bit 3
-    groups = _hand_built((2, 3), (1, 3), ())
-    assert _search(0, groups, bits(1, 2, 3), require_empty=False).t_max == 2
-    r = _search(0, groups, bits(1, 2, 3), require_empty=True)
-    assert r.t_max == 1
-    assert r.optimal_family == ("v2",)
+    assert r.optimal_family == ("v0", "v1")
+    assert r.witness_assignment == {"v0": 1, "v1": 2}
+    monkeypatch.setattr(family_search, "enumerate_masks", lambda n: groups)
+    with pytest.raises(SearchError, match=r"partial sums \[3\]"):
+        max_family(6)
 
 
 def test_sandwich_bounds():
@@ -476,7 +473,7 @@ def test_descriptor_variant_witnesses():
 def test_descriptor_search_builds_wreath_types_once(monkeypatch):
     # the descriptor vectors come from wreath_types, not from a
     # wreath_realizable call per partition and block shape
-    from migsets import family_search, partitions
+    from migsets import partitions
 
     def refuse(*args):
         raise AssertionError("wreath_realizable called")

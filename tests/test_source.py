@@ -30,12 +30,13 @@ DELETED_PARAMETERS = (
     "time_budget",
     "samples",
     "seed",
+    "require_empty",
 )
 
 
 def test_search_knobs_stay_deleted():
-    # the witness-set search has one bound and nothing to switch or seed;
-    # caps, budgets and sample counts are constants, not parameters
+    # the witness-set search has one bound and one mode, nothing to switch
+    # or seed; caps, budgets and sample counts are constants, not parameters
     found = []
     for path in sorted((ROOT / "src" / "migsets").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
