@@ -39,8 +39,8 @@ from .partitions import (
     wreath_realizable,
     wreath_types,
 )
-from .perms import PermGroup, cycle_type, from_cycles
-from .subgroup_oracle import incidence_mask, is_mig_set
+from .perms import PermGroup, cycle_type
+from .subgroup_oracle import incidence_mask, is_mig_set, wreath_generators
 
 
 @dataclass
@@ -249,18 +249,6 @@ def criterion_7():
     )
 
 
-def _wreath_group(a, b):
-    """S_a wr S_b on 0..ab-1, blocks contiguous."""
-    n = a * b
-    gens = [from_cycles(n, [(0, 1)])]
-    if a > 2:
-        gens.append(from_cycles(n, [tuple(range(a))]))
-    gens.append(from_cycles(n, [(i, i + a) for i in range(a)]))
-    if b > 2:
-        gens.append(tuple((x + a) % n for x in range(n)))
-    return PermGroup(n, gens)
-
-
 def criterion_8_wreath():
     """wreath_realizable and wreath_types agree with element-level
     enumeration for every partition of every n <= 8 and every block shape."""
@@ -271,7 +259,7 @@ def criterion_8_wreath():
             if n % a:
                 continue
             b = n // a
-            group = _wreath_group(a, b)
+            group = PermGroup(n, wreath_generators(a, b))
             if group.order() != math.factorial(a) ** b * math.factorial(b):
                 mismatches.append((n, a, b, "wrong wreath order"))
                 continue

@@ -14,9 +14,11 @@ compact text form, e.g. `3,2^2`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
+from .acceptance import ALL_CRITERIA
 from .acceptance import run as run_acceptance
 from .bounds import bound_report, table1_lookup
 from .constructions import (
@@ -64,6 +66,18 @@ def _print_checks(cert):
         print(f"  {name}: {mark} ({check['detail']})")
 
 
+def _open_output(path):
+    """The ``--output`` file opened for writing, a null context when no path
+    is given, or None after one error line when the file cannot be opened."""
+    if path is None:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_lemma(args):
     try:
         info = verify_lemma(lemma_partition(args.i, args.n))
@@ -86,8 +100,11 @@ def _cmd_construct(args):
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     payload = _family_payload(xf)
-    if args.output:
-        with open(args.output, "w") as fh:
+    out = _open_output(args.output)
+    if out is None:
+        return USAGE_ERROR
+    with out as fh:
+        if fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     if args.json:
@@ -96,7 +113,7 @@ def _cmd_construct(args):
         print(f"family of {len(xf.members)} cycle types of S_{xf.n} ({xf.repair_case})")
         for p in xf.members:
             print(f"  {p.text()}  (witness {xf.witnesses[p]})")
-        if args.output:
+        if args.output is not None:
             print(f"written to {args.output}")
     return 0
 
@@ -267,23 +284,28 @@ def _cmd_oracle(args):
 
 def _cmd_repro(args):
     numbers = None
-    if args.only:
+    if args.only is not None:
         try:
             numbers = {int(tok) for tok in args.only.split(",")}
         except ValueError:
             print(f"error: bad criterion list {args.only!r}", file=sys.stderr)
             return USAGE_ERROR
-    results = run_acceptance(numbers)
-    if not results:
-        print(f"error: no criteria match {args.only!r}", file=sys.stderr)
+        if not numbers & {number for number, _ in ALL_CRITERIA}:
+            print(f"error: no criteria match {args.only!r}", file=sys.stderr)
+            return USAGE_ERROR
+    out = _open_output(args.output)  # refuse a bad path before the run
+    if out is None:
         return USAGE_ERROR
-    ok = all(r.acceptable for r in results)
-    summary = [r.line() for r in results]
-    summary.append(
-        "all checks passed or failed in documented ways" if ok else "UNEXPECTED FAILURES"
-    )
-    if args.output:
-        with open(args.output, "w") as fh:
+    with out as fh:
+        results = run_acceptance(numbers)
+        ok = all(r.acceptable for r in results)
+        summary = [r.line() for r in results]
+        summary.append(
+            "all checks passed or failed in documented ways"
+            if ok
+            else "UNEXPECTED FAILURES"
+        )
+        if fh:
             fh.write("\n".join(summary) + "\n")
     if args.json:
         print(

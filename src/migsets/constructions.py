@@ -46,7 +46,7 @@ from .partitions import (
     power_type,
     wreath_realizable,
 )
-from .subgroup_oracle import incidence, is_mig_set, maximal_subgroups
+from .subgroup_oracle import MAX_DEGREE, incidence, is_mig_set, maximal_subgroups
 
 
 class ConstructionError(ValueError):
@@ -135,8 +135,8 @@ class XFamily:
     """A family X with its witness table and construction bookkeeping.
 
     alpha/tvals/m/z describe the block structure used for n >= 13 (z is the
-    long-cycle tail class); for smaller n (searched or hard-coded) they are
-    empty and repair_case is "small_n".  Families rebuilt from serialized
+    long-cycle tail class); for the searched degrees n <= 12 they are empty
+    and repair_case is "small_n".  Families rebuilt from serialized
     members get repair_case "imported" and empty bookkeeping too.
     """
 
@@ -171,30 +171,32 @@ def _size_exceeds_half_minus_log(n, count):
     return d <= 0 or n * n > 1 << d
 
 
-EXPLICIT_FAMILIES = {
-    11: ((4, 3, 2, 2), (4, 3, 3, 1), (9, 1, 1)),
-    12: ((5, 3, 2, 2), (4, 4, 3, 1), (10, 1, 1)),
-}
-
-
 def build_x_family(n):
     """The family X for degree n.
 
-    5 <= n <= 10: smallest-degree cases, found by exhaustive search and
-    filtered through the exact subgroup oracle (largest size first, then
-    deterministic order).  n = 11, 12: fixed hand-checked families.
-    n >= 13: the block construction with its two repair cases.
+    5 <= n <= MAX_DEGREE (12): found by exhaustive search and filtered
+    through the exact subgroup oracle (largest size first, then
+    deterministic order).  n > MAX_DEGREE: the block construction with its
+    two repair cases.
     """
     if n < 5:
         raise ConstructionError(f"families start at n=5, got {n}")
-    if n <= 10:
-        return _small_n_family(n, _searched_family(n))
-    if n in EXPLICIT_FAMILIES:
-        return _small_n_family(n, tuple(Partition(p) for p in EXPLICIT_FAMILIES[n]))
+    if n <= MAX_DEGREE:
+        return _searched_family(n)
     return _block_family(n)
 
 
-def _small_n_family(n, members):
+def _searched_family(n):
+    result = max_family(n)
+    candidates = (
+        fam for size in range(result.t_max, 1, -1) for fam in iter_families(n, size)
+    )
+    # no searched family passes the oracle at n = 6, where no two classes
+    # suffice; fall back to the first optimal family so the shape of the
+    # result is still usable downstream
+    members = next(
+        (fam for fam in candidates if is_mig_set(fam, n)), result.optimal_family
+    )
     return XFamily(
         n=n,
         members=members,
@@ -205,18 +207,6 @@ def _small_n_family(n, members):
         repair_case="small_n",
         z=None,
     )
-
-
-def _searched_family(n):
-    result = max_family(n)
-    for size in range(result.t_max, 1, -1):
-        for fam in iter_families(n, size):
-            if is_mig_set(fam, n):
-                return fam
-    # no searched family passes the oracle (this happens at n = 6, where no
-    # two classes suffice); fall back to the first optimal family so the
-    # shape of the result is still usable downstream
-    return result.optimal_family
 
 
 def _first_member(n):
@@ -418,10 +408,10 @@ def verify_mig_lower_bound(xf, *, raise_on_failure=True):
     """Check that no proper transitive subgroup meets every class of X.
 
     Together with properties (1) and (2) this makes X a witness that a
-    minimal invariable generating set of size |X| exists.  For n = 11, 12
-    the bundled maximal-subgroup data answers exactly; for n >= 13 the
-    checks replay the proof's eliminations: an odd member (nothing inside
-    the alternating group), a member with a power that is a prime cycle
+    minimal invariable generating set of size |X| exists.  For n up to
+    MAX_DEGREE (12) the bundled maximal-subgroup data answers exactly; above
+    it the checks replay the proof's eliminations: an odd member (nothing
+    inside the alternating group), a member with a power that is a prime cycle
     fixing at least 3 points (by Jordan's theorem nothing else primitive),
     and for each block size a of n a member outside S_a wr S_{n/a}
     (nothing imprimitive).
@@ -429,7 +419,7 @@ def verify_mig_lower_bound(xf, *, raise_on_failure=True):
     n = xf.n
     if n < 11:
         raise ConstructionError(f"lower-bound verification starts at n=11, got {n}")
-    if n <= 12:
+    if n <= MAX_DEGREE:
         checks = _exact_oracle_checks(xf)
         checks["method"] = _check(True, "exact maximal-subgroup oracle")
     else:

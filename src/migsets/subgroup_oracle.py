@@ -58,27 +58,29 @@ class MaximalSubgroupRecord:
         return PermGroup(self.degree, self.generators)
 
 
-def _sym_gens(points):
-    """Standard generators of the symmetric group on an ordered point list."""
-    k = len(points)
-    if k < 2:
+def _sym_gens(n, points):
+    """Standard generators of the symmetric group on an ordered point list,
+    as permutations of degree n: a transposition and a full cycle."""
+    if len(points) < 2:
         return []
-    swap = {points[0]: points[1], points[1]: points[0]}
-    rot = {points[i]: points[(i + 1) % k] for i in range(k)}
-    return [swap, rot]
+    return [from_cycles(n, [points[:2]]), from_cycles(n, [points])]
 
 
-def _maps_to_perms(degree, maps):
-    out = []
-    for m in maps:
-        out.append(tuple(m.get(x, x) for x in range(degree)))
-    return out
+def wreath_generators(a, b):
+    """Generators of S_a wr S_b on 0..ab-1, blocks {0..a-1}, {a..2a-1}, ...:
+    S_a on the first block, the swap of the first two blocks, and (b > 2)
+    the block rotation x -> x + a mod ab."""
+    n = a * b
+    gens = _sym_gens(n, tuple(range(a)))
+    gens.append(from_cycles(n, [(i, i + a) for i in range(a)]))
+    if b > 2:
+        gens.append(from_cycles(n, [tuple(range(i, n, a)) for i in range(a)]))
+    return tuple(gens)
 
 
 def _intransitive_record(n, s):
     # stabilizer of the set {0, ..., s-1}
-    maps = _sym_gens(list(range(s))) + _sym_gens(list(range(s, n)))
-    gens = tuple(_maps_to_perms(n, maps))
+    gens = tuple(_sym_gens(n, tuple(range(s))) + _sym_gens(n, tuple(range(s, n))))
     order = math.factorial(s) * math.factorial(n - s)
     return MaximalSubgroupRecord(
         degree=n,
@@ -93,23 +95,13 @@ def _intransitive_record(n, s):
 
 def _imprimitive_record(n, a, b):
     # stabilizer of the block system {0..a-1}, {a..2a-1}, ...
-    maps = _sym_gens(list(range(a)))
-    blocks = [list(range(i * a, (i + 1) * a)) for i in range(b)]
-    swap = {}
-    for x, y in zip(blocks[0], blocks[1]):
-        swap[x] = y
-        swap[y] = x
-    maps.append(swap)
-    if b > 2:
-        maps.append({x: (x + a) % n for x in range(n)})
-    gens = tuple(_maps_to_perms(n, maps))
     order = math.factorial(a) ** b * math.factorial(b)
     return MaximalSubgroupRecord(
         degree=n,
         label=f"S_{a} wr S_{b}",
         kind="imprimitive",
         param=(a, b),
-        generators=gens,
+        generators=wreath_generators(a, b),
         expected_order=order,
         class_count=math.factorial(n) // order,
     )
@@ -180,6 +172,8 @@ def _validate_record(rec):
         raise OracleError(
             f"{rec.label}: generated order {grp.order()} != {rec.expected_order}"
         )
+    # a group lies in A_n exactly when all its generators are even
+    even = all(parity(cycle_type(g)) == "even" for g in rec.generators)
     if rec.kind == "intransitive":
         s = rec.param[0]
         expected = (tuple(range(s)), tuple(range(s, rec.degree)))
@@ -189,12 +183,12 @@ def _validate_record(rec):
         if not grp.is_transitive() or grp.is_primitive():
             raise OracleError(f"{rec.label}: expected a transitive imprimitive group")
     elif rec.kind == "alternating":
-        if any(parity(cycle_type(g)) == "odd" for g in rec.generators):
+        if not even:
             raise OracleError(f"{rec.label}: generators must be even")
     else:
         if not grp.is_transitive() or not grp.is_primitive():
             raise OracleError(f"{rec.label}: expected a primitive group")
-        if all(parity(cycle_type(e)) == "even" for e in grp.elements()):
+        if even:
             raise OracleError(
                 f"{rec.label}: contained in the alternating group, not maximal"
             )

@@ -107,12 +107,12 @@ def test_criterion_8_wreath_enumeration():
 
 def test_criterion_8_records_wrong_wreath_order(monkeypatch):
     # a wrong group is a mismatch that fails the criterion, not a crash
-    from migsets.perms import PermGroup, from_cycles
+    from migsets.perms import from_cycles
 
     def transposition_only(a, b):
-        return PermGroup(a * b, [from_cycles(a * b, [(0, 1)])])
+        return (from_cycles(a * b, [(0, 1)]),)
 
-    monkeypatch.setattr(acceptance, "_wreath_group", transposition_only)
+    monkeypatch.setattr(acceptance, "wreath_generators", transposition_only)
     r = acceptance.criterion_8_wreath()
     assert not r.passed
     assert "wrong wreath order" in r.detail

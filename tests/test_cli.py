@@ -62,7 +62,7 @@ def test_construct_small_degrees(capsys):
     out = capsys.readouterr().out
     assert "family of 2 cycle types" in out
     assert main(["construct", "--n", "11"]) == 0
-    assert "family of 3 cycle types" in capsys.readouterr().out
+    assert "family of 4 cycle types" in capsys.readouterr().out
 
 
 def test_construct_output_file(tmp_path, capsys):
@@ -118,9 +118,9 @@ def test_verify_skips_lower_bound_on_request(tmp_path, capsys):
 
 def test_verify_tampered_family(tmp_path, capsys):
     def swap_tail(data):
-        data["members"] = ["10,1" if m == "9,1^2" else m for m in data["members"]]
+        data["members"] = ["10,1" if m == "8,1^3" else m for m in data["members"]]
         data["witnesses"] = {
-            ("10,1" if k == "9,1^2" else k): v for k, v in data["witnesses"].items()
+            ("10,1" if k == "8,1^3" else k): v for k, v in data["witnesses"].items()
         }
 
     def negative_witness(data):
@@ -463,8 +463,30 @@ def test_repro_summary_file(tmp_path, capsys):
 
 
 def test_repro_bad_selection(capsys):
-    assert main(["repro", "--only", "five"]) == 2
+    # "" is malformed like "5,", not a request for every criterion
+    for only in ("five", "", "5,"):
+        assert main(["repro", "--only", only]) == 2
+        assert "bad criterion list" in capsys.readouterr().err
     assert main(["repro", "--only", "99"]) == 2
+
+
+@pytest.mark.parametrize(
+    "target", ["missing_dir/out.json", "."], ids=["missing-dir", "directory"]
+)
+@pytest.mark.parametrize(
+    "command",
+    [["construct", "--n", "13"], ["repro", "--only", "5"]],
+    ids=["construct", "repro"],
+)
+def test_unwritable_output_is_a_usage_error(
+    tmp_path, monkeypatch, capsys, command, target
+):
+    def no_run(numbers):
+        raise AssertionError("repro ran criteria before refusing the path")
+
+    monkeypatch.setattr(cli, "run_acceptance", no_run)
+    assert main(command + ["--output", str(tmp_path / target)]) == 2
+    _assert_one_line_error(capsys)
 
 
 def test_unknown_command_exits_2():

@@ -94,12 +94,12 @@ FAMILY_FROZEN = {
         {"7,1^3": 4, "6,3,1": 2, "4^2,1^2": 3, "3^2,2^2": 1},
     ),
     11: (
-        ["4,3,2^2", "4,3^2,1", "9,1^2"],
-        {"4,3,2^2": 1, "4,3^2,1": 2, "9,1^2": 3},
+        ["8,1^3", "7,3,1", "5,4,1^2", "3,2^4"],
+        {"8,1^3": 4, "7,3,1": 2, "5,4,1^2": 3, "3,2^4": 1},
     ),
     12: (
-        ["5,3,2^2", "4^2,3,1", "10,1^2"],
-        {"5,3,2^2": 1, "4^2,3,1": 2, "10,1^2": 3},
+        ["9,1^3", "8,3,1", "5,3,2^2", "6,4,1^2"],
+        {"9,1^3": 4, "8,3,1": 2, "5,3,2^2": 1, "6,4,1^2": 3},
     ),
     13: (
         ["3,2^5", "7,4,1^2", "5^2,1^3", "6,3^2,1", "8,1^5"],

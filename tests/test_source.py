@@ -3,6 +3,9 @@
 import ast
 import doctest
 import pathlib
+import re
+
+from test_family_search import DESCRIPTOR_T, MAX_FAMILY_T
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -68,3 +71,20 @@ def test_readme_examples_run():
     result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
     assert result.attempted >= 5
     assert result.failed == 0
+
+
+def test_readme_t_max_tables_match_frozen():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    found = re.search(
+        r"Exact t_max for n=(\d+)\.\.(\d+) is ([\d,]+) \(mask search\) "
+        r"and for n=(\d+)\.\.(\d+) ([\d,]+) \(descriptor search\)",
+        text,
+    )
+    assert found, "README has no exact t_max sentence"
+
+    def table(lo, hi, values):
+        degrees = range(int(lo), int(hi) + 1)
+        return dict(zip(degrees, map(int, values.split(",")), strict=True))
+
+    assert table(*found.groups()[:3]) == MAX_FAMILY_T
+    assert table(*found.groups()[3:]) == DESCRIPTOR_T

@@ -5,15 +5,17 @@ The incidence-mask engine is checked against the definition: per-record
 membership bit by bit, and generation/minimality against a plain
 leave-one-out scan."""
 
+import dataclasses
 import itertools
 import math
 
 import pytest
 
-from migsets.partitions import Partition, enumerate_partitions
+from migsets.partitions import Partition, enumerate_partitions, parity
 from migsets.perms import cycle_type
 from migsets.subgroup_oracle import (
     OracleError,
+    _validate_record,
     class_meets_subgroup,
     incidence,
     incidence_mask,
@@ -42,6 +44,17 @@ def test_record_counts_and_labels():
         "S_4 wr S_3",
         "S_6 wr S_2",
     ]
+
+
+def test_primitive_record_inside_alternating_group_refused():
+    # PGL(2,5)'s even generators give PSL(2,5): order 60, primitive on 6
+    # points, but not maximal in S_6
+    pgl = maximal_subgroups(6)[-1]
+    even = tuple(g for g in pgl.generators if parity(cycle_type(g)) == "even")
+    psl = dataclasses.replace(pgl, generators=even, expected_order=60)
+    assert psl.group().is_primitive()
+    with pytest.raises(OracleError, match="contained in the alternating group"):
+        _validate_record(psl)
 
 
 def test_degree_range_enforced():
