@@ -147,7 +147,7 @@ def _cmd_verify(args):
         print(f"error: cannot read family: {exc}", file=sys.stderr)
         return USAGE_ERROR
     cert = verify_x_family(xf, raise_on_failure=False)
-    if xf.n >= 11 and args.lower_bound:
+    if xf.n >= MIN_DEGREE and args.lower_bound:
         lower = verify_mig_lower_bound(xf, raise_on_failure=False)
         cert["checks"].update(lower["checks"])
     ok = all(c["pass"] for c in cert["checks"].values())

@@ -46,7 +46,13 @@ from .partitions import (
     power_type,
     wreath_realizable,
 )
-from .subgroup_oracle import MAX_DEGREE, incidence, is_mig_set, maximal_subgroups
+from .subgroup_oracle import (
+    MAX_DEGREE,
+    MIN_DEGREE,
+    incidence,
+    is_mig_set,
+    maximal_subgroups,
+)
 
 
 class ConstructionError(ValueError):
@@ -408,17 +414,19 @@ def verify_mig_lower_bound(xf, *, raise_on_failure=True):
     """Check that no proper transitive subgroup meets every class of X.
 
     Together with properties (1) and (2) this makes X a witness that a
-    minimal invariable generating set of size |X| exists.  For n up to
-    MAX_DEGREE (12) the bundled maximal-subgroup data answers exactly; above
-    it the checks replay the proof's eliminations: an odd member (nothing
+    minimal invariable generating set of size |X| exists.  For n from
+    MIN_DEGREE (5) to MAX_DEGREE (12) the bundled maximal-subgroup data
+    answers exactly; above it the checks replay the proof's eliminations: an odd member (nothing
     inside the alternating group), a member with a power that is a prime cycle
     fixing at least 3 points (by Jordan's theorem nothing else primitive),
     and for each block size a of n a member outside S_a wr S_{n/a}
     (nothing imprimitive).
     """
     n = xf.n
-    if n < 11:
-        raise ConstructionError(f"lower-bound verification starts at n=11, got {n}")
+    if n < MIN_DEGREE:
+        raise ConstructionError(
+            f"lower-bound verification starts at n={MIN_DEGREE}, got {n}"
+        )
     if n <= MAX_DEGREE:
         checks = _exact_oracle_checks(xf)
         checks["method"] = _check(True, "exact maximal-subgroup oracle")

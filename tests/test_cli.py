@@ -108,6 +108,21 @@ def test_construct_verify_pipe(tmp_path):
         assert main(["verify", str(target)]) == 0
 
 
+def test_verify_rejects_degree6_family(tmp_path, capsys):
+    # the searched family 5,1; 2^3 has private witnesses, but both classes
+    # meet PGL(2,5), so it does not even generate S_6
+    target = tmp_path / "fam6.json"
+    assert main(["construct", "--n", "6", "--output", str(target)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(target)]) == 1
+    out = capsys.readouterr().out
+    assert "property2: ok" in out
+    assert "minimal: FAIL (oracle rejects the family)" in out
+    assert "method: ok (exact maximal-subgroup oracle)" in out
+    assert "verdict: INVALID" in out
+    assert main(["oracle", "--n", "6", "--classes", "5,1;2^3"]) == 1
+
+
 def test_verify_skips_lower_bound_on_request(tmp_path, capsys):
     path = _write_family(tmp_path, 11)
     assert main(["verify", str(path), "--no-lower-bound"]) == 0

@@ -1,12 +1,15 @@
 """Tests for the explicit family construction and its verifiers."""
 
+import hashlib
 import itertools
+import json
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
+from migsets.cli import _family_payload
 from migsets.constructions import (
     ConstructionError,
     LemmaPartition,
@@ -266,8 +269,16 @@ def test_verify_x_family_rejects_wrong_claimed_witness():
 
 
 def test_verify_mig_lower_bound_range():
-    with pytest.raises(ConstructionError):
-        verify_mig_lower_bound(build_x_family(10))
+    # the exact oracle covers every degree from 5; n = 6 is criterion 4's
+    # documented failure, where no searched family is a MIG set
+    for n in range(5, 11):
+        cert = verify_mig_lower_bound(build_x_family(n), raise_on_failure=False)
+        assert "oracle" in cert["checks"]["method"]["detail"]
+        assert cert["checks"]["minimal"]["pass"] == (n != 6), n
+    with pytest.raises(ConstructionError, match="minimal: oracle rejects"):
+        verify_mig_lower_bound(build_x_family(6))
+    with pytest.raises(ConstructionError, match="starts at n=5"):
+        verify_mig_lower_bound(family_from_members([(3, 1), (2, 2)]))
 
 
 def test_verify_mig_lower_bound_exact_small():
@@ -409,3 +420,30 @@ def test_family_size_beats_half_minus_log():
         # and the first member survived every repair
         assert xf.members[0] == build_x_family(n).members[0]
         assert not partial_sums(xf.members[0]).contains(1)
+
+
+def _digest(records):
+    h = hashlib.sha256()
+    for record in records:
+        h.update(json.dumps(record, sort_keys=True, separators=(",", ":")).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+# SHA-256 of the canonical JSON, one record a line, of the `construct --json`
+# payload for n = 5..300 and of both certificates for n = 13..300: any change
+# to a member, witness, mask string or check detail moves it
+CONSTRUCT_DIGEST = "05bfe20b874c220188a2b199b00b318de7df16174cc11a6cb553eaef9633c93f"
+CERTIFICATES_DIGEST = "20b51e66032bae9a2697f5245d91851ca4e1cf515dd817c18028ed39b7918c45"
+
+
+def test_construct_and_certificates_digest():
+    payloads, certificates = [], []
+    for n in range(5, 301):
+        xf = build_x_family(n)
+        payloads.append(_family_payload(xf))
+        if n >= 13:
+            certificates.append(verify_x_family(xf))
+            certificates.append(verify_mig_lower_bound(xf))
+    assert _digest(payloads) == CONSTRUCT_DIGEST
+    assert _digest(certificates) == CERTIFICATES_DIGEST

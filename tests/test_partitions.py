@@ -8,10 +8,12 @@ element of S_a wr S_b.
 
 import copy
 import dataclasses
+import enum
 import itertools
 import math
 import pickle
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -163,6 +165,75 @@ def test_invalid_partitions_rejected():
         Partition([3, 0])
     with pytest.raises(PartitionError):
         Partition([-1, 2])
+
+
+@pytest.mark.parametrize(
+    "parts, named",
+    [
+        ([True], "True"),
+        ([True, 2], "True"),
+        ([2, True], "True"),
+        ([1.0, 2], "1.0"),
+        ([2, 1.0], "1.0"),
+        (["a", 2], "'a'"),
+        ([2, "a"], "'a'"),
+        ([3, 0, -1], "0"),
+        ([3, -1, 0], "-1"),
+    ],
+)
+def test_invalid_part_is_named(parts, named):
+    # the first offending part in input order is the one reported
+    message = rf"^parts must be positive integers, got {re.escape(named)}$"
+    with pytest.raises(PartitionError, match=message):
+        Partition(parts)
+
+
+def test_generator_parts_are_read_once():
+    with pytest.raises(PartitionError, match=r"got 'x'$"):
+        Partition(a for a in (3, "x", 1))
+    with pytest.raises(PartitionError, match=r"got 0$"):
+        Partition(a for a in (3, 0, 1))
+    with pytest.raises(PartitionError, match="needs at least one part"):
+        Partition(a for a in ())
+    assert Partition(a for a in (1, 4, 2)).parts == (4, 2, 1)
+
+
+def test_int_subclasses_other_than_bool_are_parts():
+    class Size(enum.IntEnum):
+        SMALL = 1
+        LARGE = 3
+
+    p = Partition([Size.SMALL, 2, Size.LARGE, 2**70])
+    assert p.parts == (2**70, 3, 2, 1)
+    assert p.n == 2**70 + 6
+    assert p == Partition([2**70, 3, 2, 1])
+    assert p.text() == f"{2**70},3,2,1"
+
+
+def _counter_text(parts):
+    items = sorted(Counter(parts).items(), reverse=True)
+    return items, ",".join(f"{v}^{c}" if c > 1 else f"{v}" for v, c in items)
+
+
+def test_text_and_multiplicities_match_counter_reference():
+    for n in range(1, 21):
+        for p in enumerate_partitions(n):
+            for q in (p, Partition(list(reversed(p.parts)))):
+                items, text = _counter_text(q.parts)
+                assert q.multiplicities() == tuple(items)
+                assert q.text() == text
+                assert q.text() == text  # a second call gives the same text
+
+
+def test_pickle_and_deepcopy_keep_text():
+    for p in (Partition([5, 3, 3, 1]), Partition.from_text("7,5,1^3"), Partition([2**70, 1])):
+        text = p.text()
+        for back in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+            assert back == p and back.parts == p.parts and back.n == p.n
+            assert back.text() == text
+            assert str(back) == text and repr(back) == repr(p)
+    fresh = pickle.loads(pickle.dumps(Partition([4, 4, 2])))
+    assert fresh.text() == "4^2,2"
 
 
 def test_text_round_trip():
