@@ -39,7 +39,6 @@ from .partitions import (
     PartitionError,
     PartitionTooLarge,
     enumerate_partitions,
-    equivalent_types,
     is_partial_sum,
     jordan_witness,
     parity,
@@ -79,7 +78,6 @@ __all__ = [
     "corollary_inequality",
     "cycle_type",
     "enumerate_partitions",
-    "equivalent_types",
     "family_from_members",
     "final_inequality_holds",
     "format_cycles",

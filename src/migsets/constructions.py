@@ -87,7 +87,7 @@ def lemma_partition(i, n):
     if 3 * i >= n:
         raise ConstructionError(f"need i < n/3, got i={i}, n={n}")
     if n > DEFAULT_SUM_CAP:
-        # verify_lemma's partial-sum DP refuses it; fail before building
+        # the gap check's partial-sum DP refuses it; fail before building
         raise PartitionTooLarge(
             f"partial-sum DP capped at n={DEFAULT_SUM_CAP}, got {n}"
         )
@@ -113,20 +113,33 @@ def lemma_partition(i, n):
             parts.append(n - total)
         tag = "eight_one" if (n, i) == (8, 1) else "generic"
     lp = LemmaPartition(i=i, n=n, p=Partition(parts), case_tag=tag)
-    verify_lemma(lp)
+    _check_gaps(lp)
     return lp
+
+
+def _check_gaps(lp):
+    """Raise unless the partial sums of lp.p miss exactly the promised
+    interior values, ascending; return them.  The non-sums in 0..n, as a
+    bitmask, must equal the expected gaps (0 and n are always sums)."""
+    if lp.p.n != lp.n:
+        raise ConstructionError(f"partition sums to {lp.p.n}, not {lp.n}")
+    expected = lp.expected_missing()
+    mask = partial_sums(lp.p)
+    gaps = sum(1 << g for g in expected)
+    if (
+        ~mask.bits & ((1 << (lp.n + 1)) - 1) != gaps
+        or expected != tuple(sorted(set(expected)))
+    ):
+        raise ConstructionError(
+            f"partition {lp.p} of {lp.n} misses {mask.missing_interior()}, "
+            f"expected {expected}"
+        )
+    return expected
 
 
 def verify_lemma(lp):
     """Recompute the partial-sum mask and demand exactly the promised gaps."""
-    if lp.p.n != lp.n:
-        raise ConstructionError(f"partition sums to {lp.p.n}, not {lp.n}")
-    missing = partial_sums(lp.p).missing_interior()
-    expected = lp.expected_missing()
-    if missing != expected:
-        raise ConstructionError(
-            f"partition {lp.p} of {lp.n} misses {missing}, expected {expected}"
-        )
+    missing = _check_gaps(lp)
     return {
         "i": lp.i,
         "n": lp.n,
@@ -416,11 +429,11 @@ def verify_mig_lower_bound(xf, *, raise_on_failure=True):
     Together with properties (1) and (2) this makes X a witness that a
     minimal invariable generating set of size |X| exists.  For n from
     MIN_DEGREE (5) to MAX_DEGREE (12) the bundled maximal-subgroup data
-    answers exactly; above it the checks replay the proof's eliminations: an odd member (nothing
-    inside the alternating group), a member with a power that is a prime cycle
-    fixing at least 3 points (by Jordan's theorem nothing else primitive),
-    and for each block size a of n a member outside S_a wr S_{n/a}
-    (nothing imprimitive).
+    answers exactly; above it the checks replay the proof's eliminations:
+    an odd member (nothing inside the alternating group), a member with a
+    power that is a prime cycle fixing at least 3 points (by Jordan's
+    theorem nothing else primitive), and for each block size a of n a
+    member outside S_a wr S_{n/a} (nothing imprimitive).
     """
     n = xf.n
     if n < MIN_DEGREE:

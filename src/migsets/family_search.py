@@ -11,8 +11,7 @@ Witness sets of distinct members are pairwise disjoint: if i were a witness
 for both x and y, then i would lie in M_y (as a witness for x) and outside
 M_y (as a witness for y).  So a valid family never repeats a restricted
 mask, and picking each member's smallest witness already yields an
-injective assignment.  `match_witnesses`, a bipartite matching, is kept
-only as the tests' reference for that argument.
+injective assignment; the tests check this against a bipartite matching.
 
 Disjointness also turns the search around.  Choosing one witness b_x per
 member gives a set B of universe bits with M_x & B == B minus b_x for every
@@ -146,33 +145,6 @@ def leave_one_out(masks, full):
         others.append(common & suffix[i + 1])
         common &= m
     return common, others
-
-
-def match_witnesses(wsets):
-    """Injective witness assignment via augmenting paths; None if impossible.
-
-    Exists iff all sets are non-empty (disjointness theorem above); kept as
-    an independent cross-check of that argument.
-    """
-    owner = {}  # witness integer -> member index
-
-    def augment(i, banned):
-        w = wsets[i]
-        while w:
-            b = _min_bit(w)
-            w &= w - 1
-            if b in banned:
-                continue
-            banned.add(b)
-            if b not in owner or augment(owner[b], banned):
-                owner[b] = i
-                return True
-        return False
-
-    for i in range(len(wsets)):
-        if not augment(i, set()):
-            return None
-    return {i: b for b, i in owner.items()}
 
 
 def _witness_map(members, wsets):

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 
 # Bit-vector DP over n+1 bits is quadratic in n; this cap keeps accidental
 # huge inputs from stalling; partition text is refused past it too.
@@ -39,19 +39,27 @@ _TOKEN = re.compile(r"^(\d+)(?:\^(\d+))?$")
 class Partition:
     """A partition of a positive integer; parts stored non-increasing."""
 
-    __slots__ = ("parts", "n", "_mask")
+    __slots__ = ("parts", "n", "_mask", "_text")
 
     def __init__(self, parts):
-        cleaned = []
-        for a in parts:
-            if not isinstance(a, int) or isinstance(a, bool) or a < 1:
-                raise PartitionError(f"parts must be positive integers, got {a!r}")
-            cleaned.append(a)
-        if not cleaned:
-            raise PartitionError("a partition needs at least one part")
-        object.__setattr__(self, "parts", tuple(sorted(cleaned, reverse=True)))
-        object.__setattr__(self, "n", sum(cleaned))
-        object.__setattr__(self, "_mask", None)
+        parts = tuple(parts)
+        try:
+            ordered = sorted(parts, reverse=True)
+        except TypeError:  # a part that does not compare; the loop names it
+            ordered = []
+        # plain ints with a positive smallest part pass without a Python loop
+        if not (
+            ordered and set(map(type, ordered)) == _INT_ONLY and ordered[-1] >= 1
+        ):
+            for a in parts:
+                if not isinstance(a, int) or isinstance(a, bool) or a < 1:
+                    raise PartitionError(f"parts must be positive integers, got {a!r}")
+            if not parts:
+                raise PartitionError("a partition needs at least one part")
+        _set_parts(self, tuple(ordered))
+        _set_n(self, sum(ordered))
+        _set_mask(self, None)
+        _set_text(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
@@ -90,14 +98,20 @@ class Partition:
 
     def text(self) -> str:
         """Canonical text: descending, exponent-compressed, e.g. ``7,5,1^3``."""
-        out = []
-        for value, count in sorted(Counter(self.parts).items(), reverse=True):
-            out.append(f"{value}^{count}" if count > 1 else f"{value}")
-        return ",".join(out)
+        text = self._text
+        if text is None:
+            text = ",".join(
+                [
+                    f"{value}^{count}" if count > 1 else f"{value}"
+                    for value, count in self.multiplicities()
+                ]
+            )
+            _set_text(self, text)
+        return text
 
     def multiplicities(self) -> tuple[tuple[int, int], ...]:
         """(value, count) pairs, values descending."""
-        return tuple(sorted(Counter(self.parts).items(), reverse=True))
+        return tuple((value, len(list(run))) for value, run in groupby(self.parts))
 
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
@@ -116,6 +130,15 @@ class Partition:
 
     def __str__(self):
         return self.text()
+
+
+# slot setters, called directly: __setattr__ is blocked, and these skip the
+# attribute-name lookup of object.__setattr__
+_set_parts = Partition.parts.__set__
+_set_n = Partition.n.__set__
+_set_mask = Partition._mask.__set__
+_set_text = Partition._text.__set__
+_INT_ONLY = {int}
 
 
 def enumerate_partitions(n: int):
@@ -152,9 +175,10 @@ def _unchecked(parts, n):
     """A Partition of n from parts known to be positive and non-increasing,
     without __init__'s checks and sort."""
     p = object.__new__(Partition)
-    object.__setattr__(p, "parts", parts)
-    object.__setattr__(p, "n", n)
-    object.__setattr__(p, "_mask", None)
+    _set_parts(p, parts)
+    _set_n(p, n)
+    _set_mask(p, None)
+    _set_text(p, None)
     return p
 
 
@@ -201,7 +225,7 @@ def partial_sums(p: Partition) -> PartialSumMask:
     for a in p.parts:
         bits |= bits << a
     mask = PartialSumMask(p.n, bits)
-    object.__setattr__(p, "_mask", mask)
+    _set_mask(p, mask)
     return mask
 
 
@@ -255,34 +279,6 @@ def _factorize(m: int) -> dict[int, int]:
     if rest > 1:
         out[rest] = out.get(rest, 0) + 1
     return out
-
-
-def _divisors_of_lcm(parts) -> list[int]:
-    """Divisors of lcm(parts), built from the prime factorizations of the
-    parts themselves (the lcm may be huge but stays smooth)."""
-    exponents: dict[int, int] = {}
-    for a in parts:
-        for q, e in _factorize(a).items():
-            exponents[q] = max(exponents.get(q, 0), e)
-    divisors = [1]
-    for q, e in sorted(exponents.items()):
-        divisors = [d * q**i for d in divisors for i in range(e + 1)]
-    return sorted(divisors)
-
-
-def equivalent_types(p: Partition, q: Partition) -> bool:
-    """True iff one type is a power of the other.
-
-    Power types of p are periodic in k with period dividing lcm(parts), and
-    the type of sigma^k depends only on gcd(k, lcm); scanning divisors of the
-    lcm therefore covers every power."""
-    if p.n != q.n:
-        raise PartitionError(f"degree mismatch: {p.n} vs {q.n}")
-    if p == q:
-        return True
-    if any(power_type(p, k) == q for k in _divisors_of_lcm(p.parts)):
-        return True
-    return any(power_type(q, k) == p for k in _divisors_of_lcm(q.parts))
 
 
 def _is_prime(m: int) -> bool:

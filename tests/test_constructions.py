@@ -84,6 +84,12 @@ def test_verify_lemma_rejects_wrong_partition():
     short = LemmaPartition(i=1, n=9, p=Partition([4, 2, 2]), case_tag="generic")
     with pytest.raises(ConstructionError):
         verify_lemma(short)
+    # 4^2,1^2 misses exactly 3 and 7, but i = 7 promises them in the order
+    # (7, 3), which is not the ascending list of gaps
+    unordered = LemmaPartition(i=7, n=10, p=Partition([4, 4, 1, 1]), case_tag="generic")
+    assert partial_sums(unordered.p).missing_interior() == (3, 7)
+    with pytest.raises(ConstructionError, match=r"misses \(3, 7\), expected \(7, 3\)"):
+        verify_lemma(unordered)
 
 
 FAMILY_FROZEN = {

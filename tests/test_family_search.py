@@ -17,7 +17,6 @@ from migsets.family_search import (
     enumerate_masks,
     iter_families,
     leave_one_out,
-    match_witnesses,
     max_family,
     max_family_bruteforce,
     max_family_intransitive_imprimitive,
@@ -28,6 +27,32 @@ from migsets.partitions import (
     partial_sums,
     wreath_realizable,
 )
+
+
+def match_witnesses(wsets):
+    """Injective witness assignment via augmenting paths; None if impossible.
+
+    The reference for the disjointness argument in `family_search`: one
+    exists iff all the sets are non-empty."""
+    owner = {}  # witness integer -> member index
+
+    def augment(i, banned):
+        w = wsets[i]
+        while w:
+            b = _min_bit(w)
+            w &= w - 1
+            if b in banned:
+                continue
+            banned.add(b)
+            if b not in owner or augment(owner[b], banned):
+                owner[b] = i
+                return True
+        return False
+
+    for i in range(len(wsets)):
+        if not augment(i, set()):
+            return None
+    return {i: b for b, i in owner.items()}
 
 
 def bits(*values):

@@ -28,7 +28,6 @@ from migsets.partitions import (
     PartitionError,
     PartitionTooLarge,
     enumerate_partitions,
-    equivalent_types,
     is_partial_sum,
     jordan_witness,
     parity,
@@ -226,7 +225,7 @@ def test_text_and_multiplicities_match_counter_reference():
 
 
 def test_pickle_and_deepcopy_keep_text():
-    for p in (Partition([5, 3, 3, 1]), Partition.from_text("7,5,1^3"), Partition([2**70, 1])):
+    for p in (Partition([5, 3, 3, 1]), Partition.from_text("7,5,1^3"), Partition([2**70])):
         text = p.text()
         for back in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
             assert back == p and back.parts == p.parts and back.n == p.n
@@ -428,7 +427,7 @@ def test_parity_even_part_count_rule():
 
 
 # ---------------------------------------------------------------------------
-# power_type / equivalent_types
+# power_type
 
 
 def test_power_type_frozen():
@@ -454,6 +453,23 @@ def test_power_type_matches_real_permutation_powers():
         assert power_type(p, k).parts == type_of_perm(perm_power(sigma, k))
 
 
+@st.composite
+def partitions_up_to_12(draw):
+    remaining = draw(st.integers(min_value=1, max_value=12))
+    parts = []
+    while remaining:
+        parts.append(draw(st.integers(min_value=1, max_value=remaining)))
+        remaining -= parts[-1]
+    return Partition(parts)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p=partitions_up_to_12(), k=st.integers(min_value=1, max_value=30))
+def test_power_type_property_against_permutation_power(p, k):
+    sigma = perm_of_type(p.parts)
+    assert power_type(p, k).parts == type_of_perm(perm_power(sigma, k))
+
+
 def test_power_type_composition():
     rng = random.Random(556)
     for _ in range(250):
@@ -468,39 +484,6 @@ def test_power_type_even_exponent_gives_even_parity():
         p = random_partition(rng)
         k = 2 * rng.randint(1, 10)
         assert parity(power_type(p, k)) == "even"
-
-
-def test_equivalent_types_frozen():
-    assert equivalent_types(Partition([4]), Partition([2, 2])) is True
-    assert equivalent_types(Partition([2, 2]), Partition([4])) is True
-    assert equivalent_types(Partition([2, 3, 3]), Partition([2, 1, 1, 1, 1, 1, 1])) is True
-    assert equivalent_types(Partition([2, 3, 3]), Partition([5, 1, 1, 1])) is False
-    assert equivalent_types(Partition([3, 3]), Partition([2, 2, 2])) is False
-    p = Partition([6, 3, 1])
-    assert equivalent_types(p, p) is True
-
-
-def test_equivalent_types_degree_mismatch():
-    with pytest.raises(PartitionError):
-        equivalent_types(Partition([3]), Partition([2, 2]))
-
-
-def test_equivalent_types_vs_full_power_scan():
-    # scanning k up to lcm(parts) is claimed sufficient; compare with a
-    # scan over a much larger k range on real permutations
-    rng = random.Random(558)
-    for _ in range(60):
-        p = random_partition(rng, n_max=10)
-        q = random_partition(rng, n_max=10)
-        if p.n != q.n:
-            q = Partition(list(p.parts))
-        sp, sq = perm_of_type(p.parts), perm_of_type(q.parts)
-        brute = any(
-            type_of_perm(perm_power(sp, k)) == q.parts
-            or type_of_perm(perm_power(sq, k)) == p.parts
-            for k in range(1, 2 * math.lcm(*p.parts, *q.parts) + 2)
-        )
-        assert equivalent_types(p, q) == brute
 
 
 # ---------------------------------------------------------------------------
