@@ -35,6 +35,9 @@ class PartitionTooLarge(PartitionError):
 
 _TOKEN = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
+# the part types that skip Partition's per-part check
+_INT_ONLY = {int}
+
 
 class Partition:
     """A partition of a positive integer; parts stored non-increasing."""
@@ -138,7 +141,6 @@ _set_parts = Partition.parts.__set__
 _set_n = Partition.n.__set__
 _set_mask = Partition._mask.__set__
 _set_text = Partition._text.__set__
-_INT_ONLY = {int}
 
 
 def enumerate_partitions(n: int):
