@@ -1,6 +1,7 @@
 """Permutation engine: orders via the stabilizer chain are checked against
 factorial formulas and against independent breadth-first element closures."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -8,6 +9,7 @@ import random
 import pytest
 
 from migsets.partitions import Partition
+from migsets.subgroup_oracle import maximal_subgroups, wreath_generators
 from migsets.perms import (
     PermGroup,
     PermError,
@@ -235,3 +237,106 @@ def test_primitivity_of_two_transitive_group():
     g = PermGroup(6, gens)
     assert g.order() == 120
     assert g.is_primitive()
+
+
+# ---------------------------------------------------------------------------
+# golden stabilizer chains
+
+# One line per maximal-subgroup record of S_5..S_12 and per wreath product
+# that acceptance criterion 8 enumerates (n <= 8): label | order | each
+# level's base point and sorted transversal keys, as hex digits | the first
+# 16 hex digits of the SHA-256 of elements(), in order, for orders <= 100,000.
+CHAIN_GOLDEN = """
+5 S_1 x S_4 | 24 | 1:1234 2:234 3:34 | fc9349ed24e87fd5
+5 S_2 x S_3 | 12 | 0:01 2:234 3:34 | 6103e92616551d86
+5 A_5 | 60 | 0:01234 2:1234 1:134 | 35525fdb118a94b4
+5 AGL(1,5) | 20 | 0:01234 1:1234 | cfb01741c050db45
+6 S_1 x S_5 | 120 | 1:12345 2:2345 3:345 4:45 | 4cebd279585ba673
+6 S_2 x S_4 | 48 | 0:01 2:2345 3:345 4:45 | 0af6d0bd5a0f0291
+6 S_2 wr S_3 | 48 | 0:012345 2:2345 4:45 | 59b7f768fdc47aab
+6 S_3 wr S_2 | 72 | 0:012345 1:12 3:345 4:45 | e31cbcf8b23cf6c3
+6 A_6 | 360 | 0:012345 1:12345 2:2345 3:345 | f21af158c1ca2a3e
+6 PGL(2,5) | 120 | 0:012345 1:12345 2:2345 | 0a35d94193b81797
+7 S_1 x S_6 | 720 | 1:123456 2:23456 3:3456 5:456 4:46 | 8bb4dc739f264b32
+7 S_2 x S_5 | 240 | 0:01 2:23456 3:3456 4:456 5:56 | 91a9c637f1e71e24
+7 S_3 x S_4 | 144 | 0:012 3:3456 4:456 5:56 1:12 | 054998a9dd5e41cb
+7 A_7 | 2520 | 0:0123456 2:123456 1:13456 3:3456 4:456 | 9567d18a8d54cd2d
+7 AGL(1,7) | 42 | 0:0123456 1:123456 | cf16d180ef6c9c44
+8 S_1 x S_7 | 5040 | 1:1234567 2:234567 3:34567 6:4567 5:457 4:47 | 9a756a987c1f9b73
+8 S_2 x S_6 | 1440 | 0:01 2:234567 3:34567 4:4567 6:567 5:57 | 723b6aa7cd15fad9
+8 S_3 x S_5 | 720 | 0:012 3:34567 4:4567 5:567 6:67 1:12 | 26ae9b040a988787
+8 S_2 wr S_4 | 384 | 0:01234567 2:234567 6:4567 4:45 | aa05e85ca33248e9
+8 S_4 wr S_2 | 1152 | 0:01234567 1:123 2:23 4:4567 5:567 6:67 | 21b4f88c6e27a66a
+8 A_8 | 20160 | 0:01234567 1:1234567 2:234567 5:34567 4:3467 3:367 | 6ab43516df022a43
+8 PGL(2,7) | 336 | 0:01234567 1:1234567 2:234567 | 1e721418f9d40c3a
+9 S_1 x S_8 | 40320 | 1:12345678 2:2345678 3:345678 7:45678 6:4568 5:458 4:48 | 6d4854265632b4e4
+9 S_2 x S_7 | 10080 | 0:01 2:2345678 3:345678 4:45678 7:5678 6:568 5:58 | c8b121a9ccaa3af8
+9 S_3 x S_6 | 4320 | 0:012 3:345678 4:45678 5:5678 7:678 6:68 1:12 | a895e162ea840301
+9 S_4 x S_5 | 2880 | 0:0123 4:45678 5:5678 6:678 7:78 1:123 2:23 | c9fa4ec841437e37
+9 S_3 wr S_3 | 1296 | 0:012345678 1:12 3:345678 6:678 4:45 7:78 | b8e23fc9f344ad02
+9 A_9 | 181440 | 0:012345678 2:12345678 1:1345678 3:345678 6:45678 5:4578 4:478 | -
+9 AGL(2,3) | 432 | 0:012345678 1:12345678 3:345678 | 31df4cfec0005193
+10 S_1 x S_9 | 362880 | 1:123456789 2:23456789 3:3456789 8:456789 7:45679 6:4569 5:459 4:49 | -
+10 S_2 x S_8 | 80640 | 0:01 2:23456789 3:3456789 4:456789 8:56789 7:5679 6:569 5:59 | 70be623dce47310e
+10 S_3 x S_7 | 30240 | 0:012 3:3456789 4:456789 5:56789 8:6789 7:679 6:69 1:12 | 94227bdb1355e590
+10 S_4 x S_6 | 17280 | 0:0123 4:456789 5:56789 6:6789 8:789 7:79 1:123 2:23 | def07b7d7ef4158f
+10 S_2 wr S_5 | 3840 | 0:0123456789 2:23456789 8:456789 6:4567 4:45 | 9ca8bb113f9593de
+10 S_5 wr S_2 | 28800 | 0:0123456789 1:1234 2:234 3:34 5:56789 6:6789 7:789 8:89 | 329515257380c6d8
+10 A_10 | 1814400 | 0:0123456789 1:123456789 2:23456789 7:3456789 6:345689 5:34589 4:3489 3:389 | -
+10 PGammaL(2,9) | 1440 | 0:0123456789 1:123456789 3:23456789 2:25 | 4decd9e14298e7d2
+11 S_1 x S_10 | 3628800 | 1:123456789a 2:23456789a 3:3456789a 9:456789a 8:45678a 7:4567a 6:456a 5:45a 4:4a | -
+11 S_2 x S_9 | 725760 | 0:01 2:23456789a 3:3456789a 4:456789a 9:56789a 8:5678a 7:567a 6:56a 5:5a | -
+11 S_3 x S_8 | 241920 | 0:012 3:3456789a 4:456789a 5:56789a 9:6789a 8:678a 7:67a 6:6a 1:12 | -
+11 S_4 x S_7 | 120960 | 0:0123 4:456789a 5:56789a 6:6789a 9:789a 8:78a 7:7a 1:123 2:23 | -
+11 S_5 x S_6 | 86400 | 0:01234 5:56789a 6:6789a 7:789a 9:89a 8:8a 1:1234 2:234 3:34 | aaf164aca51aef90
+11 A_11 | 19958400 | 0:0123456789a 2:123456789a 1:13456789a 3:3456789a 8:456789a 7:45679a 6:4569a 5:459a 4:49a | -
+11 AGL(1,11) | 110 | 0:0123456789a 1:123456789a | 4834195075f095f2
+12 S_1 x S_11 | 39916800 | 1:123456789ab 2:23456789ab 3:3456789ab a:456789ab 9:456789b 8:45678b 7:4567b 6:456b 5:45b 4:4b | -
+12 S_2 x S_10 | 7257600 | 0:01 2:23456789ab 3:3456789ab 4:456789ab a:56789ab 9:56789b 8:5678b 7:567b 6:56b 5:5b | -
+12 S_3 x S_9 | 2177280 | 0:012 3:3456789ab 4:456789ab 5:56789ab a:6789ab 9:6789b 8:678b 7:67b 6:6b 1:12 | -
+12 S_4 x S_8 | 967680 | 0:0123 4:456789ab 5:56789ab 6:6789ab a:789ab 9:789b 8:78b 7:7b 1:123 2:23 | -
+12 S_5 x S_7 | 604800 | 0:01234 5:56789ab 6:6789ab 7:789ab a:89ab 9:89b 8:8b 1:1234 2:234 3:34 | -
+12 S_2 wr S_6 | 46080 | 0:0123456789ab 2:23456789ab a:456789ab 8:456789 6:4567 4:45 | 22964df78775b5e5
+12 S_3 wr S_4 | 31104 | 0:0123456789ab 1:12 3:3456789ab 9:6789ab 6:678 4:45 a:ab 7:78 | 552bbbc3db73bced
+12 S_4 wr S_3 | 82944 | 0:0123456789ab 1:123 4:456789ab 2:23 8:89ab 5:567 6:67 9:9ab a:ab | d0196a3f8332d279
+12 S_6 wr S_2 | 1036800 | 0:0123456789ab 1:12345 2:2345 4:345 3:35 6:6789ab 7:789ab 8:89ab a:9ab 9:9b | -
+12 A_12 | 239500800 | 0:0123456789ab 1:123456789ab 2:23456789ab 9:3456789ab 8:345678ab 7:34567ab 6:3456ab 3:345ab 4:45ab 5:5ab | -
+12 PGL(2,11) | 1320 | 0:0123456789ab 1:123456789ab 2:23456789ab | 94ce63dd87ed0304
+4 S_2 wr S_2 wreath | 8 | 0:0123 2:23 | 4f06db8327b0812a
+6 S_2 wr S_3 wreath | 48 | 0:012345 2:2345 4:45 | 59b7f768fdc47aab
+6 S_3 wr S_2 wreath | 72 | 0:012345 1:12 3:345 4:45 | e31cbcf8b23cf6c3
+8 S_2 wr S_4 wreath | 384 | 0:01234567 2:234567 6:4567 4:45 | aa05e85ca33248e9
+8 S_4 wr S_2 wreath | 1152 | 0:01234567 1:123 2:23 4:4567 5:567 6:67 | 21b4f88c6e27a66a
+"""
+
+
+def _golden_groups():
+    for n in range(5, 13):
+        for rec in maximal_subgroups(n):
+            yield f"{n} {rec.label}", rec.group()
+    for n in range(4, 9):
+        for a in range(2, n // 2 + 1):
+            if n % a == 0:
+                group = PermGroup(n, wreath_generators(a, n // a))
+                yield f"{n} S_{a} wr S_{n // a} wreath", group
+
+
+def test_stabilizer_chain_golden():
+    # base points, transversals and element order are part of the output:
+    # a faster chain must build the very same one
+    expected = {}
+    for line in CHAIN_GOLDEN.strip().splitlines():
+        label, order, chain, digest = (f.strip() for f in line.split("|"))
+        expected[label] = (int(order), chain, digest)
+    found = {}
+    for label, g in _golden_groups():
+        chain = " ".join(
+            f"{lev.point:x}:" + "".join(f"{x:x}" for x in sorted(lev.transversal))
+            for lev in g._levels
+        )
+        digest = "-"
+        if g.order() <= 100_000:
+            data = b"".join(bytes(e) for e in g.elements())
+            digest = hashlib.sha256(data).hexdigest()[:16]
+        found[label] = (g.order(), chain, digest)
+    assert found == expected
