@@ -39,7 +39,7 @@ from .partitions import (
     wreath_realizable,
     wreath_types,
 )
-from .perms import PermGroup, cycle_type
+from .perms import PermGroup
 from .subgroup_oracle import incidence_mask, is_mig_set, wreath_generators
 
 
@@ -263,7 +263,7 @@ def criterion_8_wreath():
             if group.order() != math.factorial(a) ** b * math.factorial(b):
                 mismatches.append((n, a, b, "wrong wreath order"))
                 continue
-            types = {cycle_type(g) for g in group.elements()}
+            types = group.cycle_types()
             if wreath_types(a, b) != {p.parts for p in types}:
                 mismatches.append((n, a, b, "wreath_types"))
             for p in enumerate_partitions(n):

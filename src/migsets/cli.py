@@ -123,10 +123,17 @@ def _load_family(path):
         data = json.load(fh)
     if not isinstance(data, dict) or not isinstance(data.get("witnesses", {}), dict):
         raise TypeError("expected an object with a member list and a witness map")
-    members = [Partition.from_text(t) for t in data["members"]]
+    texts = data["members"]
+    members = [Partition.from_text(t) for t in texts]
     witnesses = None
     if "witnesses" in data:
-        witnesses = {Partition.from_text(t): w for t, w in data["witnesses"].items()}
+        # a key spelled like its member is not parsed again; others, such as
+        # "7, 5", are
+        parsed = dict(zip(texts, members))
+        witnesses = {
+            parsed[t] if t in parsed else Partition.from_text(t): w
+            for t, w in data["witnesses"].items()
+        }
         if set(witnesses) != set(members):
             raise KeyError("witness keys do not match the member list")
     xf = family_from_members(members, witnesses)

@@ -33,7 +33,8 @@ class PartitionTooLarge(PartitionError):
     """An operation exceeded its configured size cap."""
 
 
-_TOKEN = re.compile(r"^(\d+)(?:\^(\d+))?$")
+# ASCII digits only, matched against the whole token (no trailing newline)
+_TOKEN = re.compile(r"([0-9]+)(?:\^([0-9]+))?")
 
 # the part types that skip Partition's per-part check
 _INT_ONLY = {int}
@@ -80,7 +81,7 @@ class Partition:
         total = 0
         for token in text.split(","):
             token = token.replace(" ", "")
-            m = _TOKEN.match(token)
+            m = _TOKEN.fullmatch(token)
             if not m:
                 raise PartitionError(f"bad partition token {token!r} in {text!r}")
             try:

@@ -6,8 +6,18 @@ the bundled subgroup data.  The stabilizer chain is built by the classical
 Schreier-Sims procedure with no randomization, so group order, membership and
 element enumeration are reproducible across runs.
 
-The degrees handled here are small (at most a few dozen points); the code
-favours clarity over asymptotics.
+The chain itself holds each permutation as a 256-byte translation table:
+the bytes of its images, padded with the identity on the points past the
+degree.  A product p*q is then the C-level ``p.translate(q)``, and an
+inverse is ``bytes.maketrans(p, identity)``.  Next to each transversal the
+chain keeps the inverse of every transversal element, built during the
+orbit search as inv(rep*g) = inv(g)*inv(rep); each generator is inverted
+once, when it joins the chain.  Sifting therefore never inverts.  The public
+interface stays on image tuples: `PermGroup.generators`, the input of
+`contains` and the output of `elements` are tuples, and a group has at most
+`MAX_POINTS` (256) points, checked before any work.  The algorithm is the
+plain one, without Schreier vectors or randomization; the degrees handled
+here are small (at most a few dozen points in the package itself).
 """
 
 from __future__ import annotations
@@ -22,6 +32,11 @@ class PermError(ValueError):
     """Invalid permutation input or an enumeration exceeding its cap."""
 
 
+# the points a chain table (one byte per point) can hold
+MAX_POINTS = 256
+_IDENTITY = bytes(range(MAX_POINTS))
+
+
 def identity(degree):
     return tuple(range(degree))
 
@@ -32,7 +47,7 @@ def is_perm(p, degree):
 
 def multiply(p, q):
     """Product acting left to right: x^(p*q) = (x^p)^q."""
-    return tuple(q[x] for x in p)
+    return tuple(map(q.__getitem__, p))
 
 
 def inverse(p):
@@ -42,7 +57,8 @@ def inverse(p):
     return tuple(out)
 
 
-def cycle_type(p):
+def _cycle_lengths(p):
+    """The cycle lengths of p (image tuple or bytes), descending."""
     seen = [False] * len(p)
     parts = []
     for start in range(len(p)):
@@ -55,7 +71,21 @@ def cycle_type(p):
             x = p[x]
             length += 1
         parts.append(length)
-    return Partition(parts)
+    parts.sort(reverse=True)
+    return tuple(parts)
+
+
+def cycle_type(p):
+    return Partition(_cycle_lengths(p))
+
+
+def _with_inverse(table):
+    return table, bytes.maketrans(table, _IDENTITY)
+
+
+def _first_moved(table):
+    """The least point a non-identity table moves."""
+    return next(x for x, y in enumerate(table) if x != y)
 
 
 def from_cycles(degree, cycles):
@@ -109,15 +139,17 @@ def format_cycles(p):
 
 class _Level:
     """One stabilizer-chain level: a base point, the generators fixing all
-    earlier base points, and a transversal mapping the base point around its
-    orbit."""
+    earlier base points (as (table, inverse table) pairs), a transversal
+    mapping the base point around its orbit, and the inverse of each
+    transversal element."""
 
-    __slots__ = ("point", "gens", "transversal")
+    __slots__ = ("point", "gens", "transversal", "inverses")
 
-    def __init__(self, point, ident):
+    def __init__(self, point):
         self.point = point
         self.gens = []
-        self.transversal = {point: ident}
+        self.transversal = {point: _IDENTITY}
+        self.inverses = {point: _IDENTITY}
 
 
 class PermGroup:
@@ -126,8 +158,8 @@ class PermGroup:
     DEFAULT_ELEMENT_CAP = 10_000_000
 
     def __init__(self, degree, generators):
-        if degree < 1:
-            raise PermError("degree must be at least 1")
+        if not 1 <= degree <= MAX_POINTS:
+            raise PermError(f"degree must be in 1..{MAX_POINTS}, got {degree}")
         self.degree = degree
         ident = identity(degree)
         gens = []
@@ -138,9 +170,11 @@ class PermGroup:
             if g != ident and g not in gens:
                 gens.append(g)
         self.generators = tuple(gens)
-        self._identity = ident
         self._levels = []
         self._build_chain()
+
+    def _table(self, p):
+        return bytes(p) + _IDENTITY[self.degree :]
 
     # -- stabilizer chain ---------------------------------------------------
 
@@ -150,15 +184,13 @@ class PermGroup:
         # being the least point moved at its level.  The generating set *at*
         # level i is cumulative (this level's list plus all deeper lists);
         # the verification pass below completes the seed to a BSGS.
-        current = list(self.generators)
+        current = [_with_inverse(self._table(g)) for g in self.generators]
         while current:
-            moved = min(
-                x for x in range(self.degree) if any(g[x] != x for g in current)
-            )
-            level = _Level(moved, self._identity)
-            level.gens = [g for g in current if g[moved] != moved]
+            moved = min(_first_moved(g) for g, _ in current)
+            level = _Level(moved)
+            level.gens = [pair for pair in current if pair[0][moved] != moved]
             self._levels.append(level)
-            current = [g for g in current if g[moved] == moved]
+            current = [pair for pair in current if pair[0][moved] == moved]
         # Bottom-up pass: a level is accepted once every one of its Schreier
         # generators sifts to the identity through the (already accepted)
         # deeper levels.  A failed sift adds the residue where it stuck and
@@ -175,51 +207,57 @@ class PermGroup:
         return [g for lev in self._levels[l:] for g in lev.gens]
 
     def _rebuild_orbit(self, l):
+        # breadth-first orbit of the base point; the inverse of rep*g is
+        # inv(g)*inv(rep), so no transversal element is inverted directly
         lev = self._levels[l]
         gens = self._cumulative_gens(l)
-        lev.transversal = {lev.point: self._identity}
+        transversal = lev.transversal = {lev.point: _IDENTITY}
+        inverses = lev.inverses = {lev.point: _IDENTITY}
         queue = deque([lev.point])
         while queue:
             beta = queue.popleft()
-            rep = lev.transversal[beta]
-            for g in gens:
+            rep = transversal[beta]
+            rep_inv = inverses[beta]
+            for g, g_inv in gens:
                 target = g[beta]
-                if target not in lev.transversal:
-                    lev.transversal[target] = multiply(rep, g)
+                if target not in transversal:
+                    transversal[target] = rep.translate(g)
+                    inverses[target] = g_inv.translate(rep_inv)
                     queue.append(target)
 
     def _verify_level(self, i):
         self._rebuild_orbit(i)
         lev = self._levels[i]
+        transversal, inverses = lev.transversal, lev.inverses
         gens = self._cumulative_gens(i)
-        for beta in sorted(lev.transversal):
-            rep = lev.transversal[beta]
-            for g in gens:
-                schreier = multiply(
-                    multiply(rep, g), inverse(lev.transversal[g[beta]])
-                )
+        for beta in sorted(transversal):
+            rep = transversal[beta]
+            for g, _ in gens:
+                target = g[beta]
+                product = rep.translate(g)
+                if product == transversal[target]:
+                    continue  # the Schreier generator is the identity
+                schreier = product.translate(inverses[target])
                 residue, drop = self._strip(schreier, i + 1)
-                if residue != self._identity:
+                if residue != _IDENTITY:
                     if drop == len(self._levels):
-                        moved = min(
-                            x for x in range(self.degree) if residue[x] != x
-                        )
-                        self._levels.append(_Level(moved, self._identity))
-                    self._levels[drop].gens.append(residue)
+                        self._levels.append(_Level(_first_moved(residue)))
+                    self._levels[drop].gens.append(_with_inverse(residue))
                     self._rebuild_orbit(drop)
                     return drop
         return None
 
-    def _strip(self, p, start):
-        """Reduce p through transversals; returns (residue, level reached)."""
-        h = p
-        for l in range(start, len(self._levels)):
-            lev = self._levels[l]
-            rep = lev.transversal.get(h[lev.point])
-            if rep is None:
+    def _strip(self, h, start):
+        """Reduce the table h through the transversals; returns
+        (residue, level reached)."""
+        levels = self._levels
+        for l in range(start, len(levels)):
+            lev = levels[l]
+            rep_inv = lev.inverses.get(h[lev.point])
+            if rep_inv is None:
                 return h, l
-            h = multiply(h, inverse(rep))
-        return h, len(self._levels)
+            h = h.translate(rep_inv)
+        return h, len(levels)
 
     # -- queries ------------------------------------------------------------
 
@@ -233,19 +271,31 @@ class PermGroup:
         p = tuple(p)
         if not is_perm(p, self.degree):
             raise PermError(f"not a permutation of degree {self.degree}: {p!r}")
-        residue, _ = self._strip(p, 0)
-        return residue == self._identity
+        residue, _ = self._strip(self._table(p), 0)
+        return residue == _IDENTITY
 
-    def elements(self):
-        """All elements, in a deterministic order.  Raises above the cap."""
+    def _element_images(self):
+        # each element as the bytes of its first `degree` images: a short
+        # string translated by a full table keeps its own length
         cap = PermGroup.DEFAULT_ELEMENT_CAP
         if self.order() > cap:
             raise PermError(f"group order {self.order()} exceeds cap {cap}")
-        current = [self._identity]
+        current = [_IDENTITY[: self.degree]]
         for lev in reversed(self._levels):
             reps = [lev.transversal[beta] for beta in sorted(lev.transversal)]
-            current = [multiply(e, rep) for rep in reps for e in current]
+            current = [e.translate(rep) for rep in reps for e in current]
         return current
+
+    def elements(self):
+        """All elements as image tuples, in a deterministic order.  Raises
+        above the cap."""
+        return [tuple(e) for e in self._element_images()]
+
+    def cycle_types(self):
+        """The cycle types of all elements, one `Partition` per type."""
+        return frozenset(
+            Partition(t) for t in set(map(_cycle_lengths, self._element_images()))
+        )
 
     # -- orbit and block structure --------------------------------------------
 

@@ -219,7 +219,7 @@ def maximal_subgroups(n):
 
 @lru_cache(maxsize=None)
 def _primitive_cycle_types(rec):
-    return frozenset(cycle_type(e) for e in rec.group().elements())
+    return rec.group().cycle_types()
 
 
 def class_meets_subgroup(rec, p):

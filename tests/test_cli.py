@@ -196,6 +196,28 @@ def test_verify_rejects_non_string_member(tmp_path, capsys):
     _assert_one_line_error(capsys)
 
 
+def test_verify_rejects_non_ascii_digits_and_newlines(tmp_path, capsys):
+    # "3\n" and the Arabic-Indic three are not the documented 7,5,1^3 form
+    for bad in ("3\n,2\n", "\u0663,2"):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"members": [bad, "4,1"]}))
+        assert main(["verify", str(path)]) == 2
+        _assert_one_line_error(capsys)
+        path.write_text(json.dumps({"members": ["3,2", "4,1"], "witnesses": {bad: 1}}))
+        assert main(["verify", str(path)]) == 2
+        _assert_one_line_error(capsys)
+
+
+def test_verify_accepts_spaced_witness_key(tmp_path, capsys):
+    def space_keys(data):
+        data["witnesses"] = {k.replace(",", ", "): v for k, v in data["witnesses"].items()}
+
+    path = _write_family(tmp_path, 13, mutate=space_keys)
+    assert "3, 2^5" in json.loads(path.read_text())["witnesses"]
+    assert main(["verify", str(path)]) == 0
+    assert "verdict: valid" in capsys.readouterr().out
+
+
 def test_verify_rejects_non_integer_witness(tmp_path, capsys):
     def spoil(data):
         data["witnesses"]["3,2^5"] = "x"

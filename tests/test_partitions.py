@@ -245,7 +245,8 @@ def test_text_round_trip():
 
 
 def test_text_rejects_garbage():
-    for bad in ["", "0", "3^0", "a", "2^", "^2", "3,,4"]:
+    # "3\n": a trailing newline; "\u0663": ARABIC-INDIC DIGIT THREE
+    for bad in ["", "0", "3^0", "a", "2^", "^2", "3,,4", "3\n,2\n", "\u0663,2", "2^\u0663"]:
         with pytest.raises(PartitionError):
             Partition.from_text(bad)
 

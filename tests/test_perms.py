@@ -11,6 +11,7 @@ import pytest
 from migsets.partitions import Partition
 from migsets.subgroup_oracle import maximal_subgroups, wreath_generators
 from migsets.perms import (
+    MAX_POINTS,
     PermGroup,
     PermError,
     cycle_type,
@@ -165,6 +166,39 @@ def test_elements_and_cycle_types():
         Partition([4, 1]),
         Partition([5]),
     }
+
+
+def test_public_permutations_stay_tuples():
+    # callers hash elements and compare them with image tuples
+    g = PermGroup(5, [parse_cycles("(0 1 2 3 4)", 5), [1, 0, 2, 3, 4]])
+    assert g.generators == ((1, 2, 3, 4, 0), (1, 0, 2, 3, 4))
+    assert all(type(p) is tuple for p in g.generators)
+    elements = g.elements()
+    assert all(type(p) is tuple and len(p) == 5 for p in elements)
+    assert identity(5) in elements and (1, 0, 2, 3, 4) in set(elements)
+    assert g.contains([4, 3, 2, 1, 0])
+
+
+def test_degree_bound_checked_before_any_work():
+    # the chain's byte tables hold at most 256 points; the generators are
+    # never read past the degree check
+    def never_read():
+        raise AssertionError("generators read")
+        yield
+
+    for degree in (0, MAX_POINTS + 1, 10**9):
+        with pytest.raises(PermError, match="degree"):
+            PermGroup(degree, never_read())
+    shift = tuple(range(1, MAX_POINTS)) + (0,)
+    g = PermGroup(MAX_POINTS, [shift])
+    assert g.order() == MAX_POINTS
+    assert g.contains(multiply(shift, shift))
+
+
+def test_cycle_types_match_per_element_types():
+    for gens in (symmetric_gens(5), [from_cycles(6, [(0, 1, 2, 3, 4, 5)])]):
+        g = PermGroup(len(gens[0]), gens)
+        assert g.cycle_types() == {cycle_type(p) for p in g.elements()}
 
 
 def test_elements_cap():

@@ -88,3 +88,25 @@ def test_readme_t_max_tables_match_frozen():
 
     assert table(*found.groups()[:3]) == MAX_FAMILY_T
     assert table(*found.groups()[3:]) == DESCRIPTOR_T
+
+
+def test_stabilizer_chain_hot_loop_stays_c_level():
+    # the chain multiplies byte tables with bytes.translate and sifts with
+    # cached inverses: no per-element Python loop in multiply, and no
+    # tuple product or inversion inside the chain's loops
+    tree = ast.parse((ROOT / "src" / "migsets" / "perms.py").read_text())
+    funcs = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    loops = (ast.GeneratorExp, ast.ListComp, ast.SetComp, ast.DictComp, ast.For, ast.While)
+    found = [
+        f"multiply:{node.lineno} per-element loop"
+        for node in ast.walk(funcs["multiply"])
+        if isinstance(node, loops)
+    ]
+    for name in ("_strip", "_verify_level", "_rebuild_orbit"):
+        for node in ast.walk(funcs[name]):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                called = getattr(callee, "id", None) or getattr(callee, "attr", None)
+                if called in ("inverse", "multiply"):
+                    found.append(f"{name}:{node.lineno} calls {called}()")
+    assert not found, found
