@@ -12,18 +12,27 @@ degree.  A product p*q is then the C-level ``p.translate(q)``, and an
 inverse is ``bytes.maketrans(p, identity)``.  Next to each transversal the
 chain keeps the inverse of every transversal element, built during the
 orbit search as inv(rep*g) = inv(g)*inv(rep); each generator is inverted
-once, when it joins the chain.  Sifting therefore never inverts.  The public
-interface stays on image tuples: `PermGroup.generators`, the input of
-`contains` and the output of `elements` are tuples, and a group has at most
-`MAX_POINTS` (256) points, checked before any work.  The algorithm is the
-plain one, without Schreier vectors or randomization; the degrees handled
+once, when it joins the chain.  Sifting therefore never inverts.
+
+Each level also keeps, for the length of one chain build, the set of its
+Schreier generators that have already sifted to the identity, and skips
+them when the level is verified again.  The skip is exact: levels are only
+appended and generators only added, so whenever level i is verified the
+deeper levels form a verified chain of a group containing the one an earlier
+sift went through, and an element that sifted to the identity once still
+does.
+
+The public interface stays on image tuples: `PermGroup.generators`, the
+input of `contains` and the output of `elements` are tuples, and a group has
+at most `MAX_POINTS` (256) points, checked before any work.  The algorithm is
+the plain one, without Schreier vectors or randomization; the degrees handled
 here are small (at most a few dozen points in the package itself).
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
+from collections import defaultdict, deque
 
 from .partitions import Partition
 
@@ -198,9 +207,12 @@ class PermGroup:
         # group known at that level, so the pass terminates.  Levels above
         # the modified one are revisited on the way back up, which also
         # refreshes orbits that the new generator may have extended.
+        # sifted[i] holds the level-i Schreier generators already sifted to
+        # the identity; see the module docstring for why they stay there.
+        sifted = defaultdict(set)
         i = len(self._levels) - 1
         while i >= 0:
-            stuck = self._verify_level(i)
+            stuck = self._verify_level(i, sifted[i])
             i = i - 1 if stuck is None else stuck
 
     def _cumulative_gens(self, l):
@@ -225,7 +237,7 @@ class PermGroup:
                     inverses[target] = g_inv.translate(rep_inv)
                     queue.append(target)
 
-    def _verify_level(self, i):
+    def _verify_level(self, i, sifted):
         self._rebuild_orbit(i)
         lev = self._levels[i]
         transversal, inverses = lev.transversal, lev.inverses
@@ -238,6 +250,8 @@ class PermGroup:
                 if product == transversal[target]:
                     continue  # the Schreier generator is the identity
                 schreier = product.translate(inverses[target])
+                if schreier in sifted:
+                    continue
                 residue, drop = self._strip(schreier, i + 1)
                 if residue != _IDENTITY:
                     if drop == len(self._levels):
@@ -245,6 +259,7 @@ class PermGroup:
                     self._levels[drop].gens.append(_with_inverse(residue))
                     self._rebuild_orbit(drop)
                     return drop
+                sifted.add(schreier)
         return None
 
     def _strip(self, h, start):

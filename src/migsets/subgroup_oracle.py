@@ -11,24 +11,27 @@ Whether a conjugacy class of the symmetric group (given by its cycle type)
 meets a subgroup in the list is decided per kind: subset stabilizers by a
 partial-sum check, block stabilizers by the wreath realizability test,
 the alternating group by parity, and the primitive groups by their frozen
-cycle-type sets (computed once by element enumeration; all have order at
-most 1440).
+cycle-type sets (enumerated once from the chain that validated the record;
+all have order at most 1440).
 
 Every question about a set of classes goes through one incidence engine:
 `incidence_mask(p)` is the bitmask of the records (in `maximal_subgroups`
-order) that the class p meets, memoised per class (there are 260 classes of
-degree 5..12), and `incidence(classes, n)` ANDs the masks into the records
-meeting every class and, per class, the records meeting all the others.
-Invariable generation is an empty first mask; minimality adds non-empty
-leave-one-out masks.
+order) that the class p meets, memoised per parts tuple (there are 260
+classes of degree 5..12; a tuple hashes and compares in C), and
+`incidence(classes, n)` ANDs the masks into the records meeting every class
+and, per class, the records meeting all the others.  Invariable generation
+needs only the AND: `invariably_generates` is an empty AND, and `is_mig_set`
+returns False on a non-empty one before it computes the leave-one-out masks,
+which must then all be non-empty.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from importlib import resources
+from operator import and_
 
 from .family_search import leave_one_out
 from .partitions import Partition, is_partial_sum, parity, wreath_realizable
@@ -192,6 +195,7 @@ def _validate_record(rec):
             raise OracleError(
                 f"{rec.label}: contained in the alternating group, not maximal"
             )
+    return grp
 
 
 @lru_cache(maxsize=None)
@@ -213,13 +217,23 @@ def maximal_subgroups(n):
     records.append(_alternating_record(n))
     records.extend(_load_primitive_records()[n])
     for rec in records:
-        _validate_record(rec)
+        grp = _validate_record(rec)
+        if rec.kind in _PRIMITIVE_KIND.values():
+            # the chain just built also gives the cycle types; only these
+            # sets are kept, not the chains
+            _PRIMITIVE_TYPES[rec] = grp.cycle_types()
     return tuple(records)
 
 
-@lru_cache(maxsize=None)
+# the cycle types of each primitive record, filled as the records load
+_PRIMITIVE_TYPES = {}
+
+
 def _primitive_cycle_types(rec):
-    return rec.group().cycle_types()
+    types = _PRIMITIVE_TYPES.get(rec)
+    if types is None:
+        types = _PRIMITIVE_TYPES[rec] = rec.group().cycle_types()
+    return types
 
 
 def class_meets_subgroup(rec, p):
@@ -237,25 +251,27 @@ def class_meets_subgroup(rec, p):
     return p in _primitive_cycle_types(rec)
 
 
-def _check_classes(classes, n):
-    out = []
+def _class_masks(classes, n):
+    """The incidence mask of each class, in order.  Raises `OracleError` on
+    a class of another degree, a repeated class or an empty list."""
+    keys = []
     for p in classes:
         if not isinstance(p, Partition):
             p = Partition(p)
         if p.n != n:
             raise OracleError(f"class {p.text()} is not a cycle type of degree {n}")
-        out.append(p)
-    if len(set(out)) != len(out):
+        keys.append(p.parts)
+    if len(set(keys)) != len(keys):
         raise OracleError("classes must be pairwise distinct")
-    if not out:
+    if not keys:
         raise OracleError("need at least one class")
-    return out
+    return list(map(_parts_mask, keys))
 
 
 @lru_cache(maxsize=None)
-def incidence_mask(p):
-    """Bit i is set iff the class with cycle type p meets
-    ``maximal_subgroups(p.n)[i]``."""
+def _parts_mask(parts):
+    # keyed on the parts tuple, whose hash and equality run in C
+    p = Partition(parts)
     mask = 0
     for i, rec in enumerate(maximal_subgroups(p.n)):
         if class_meets_subgroup(rec, p):
@@ -263,18 +279,27 @@ def incidence_mask(p):
     return mask
 
 
+def incidence_mask(p):
+    """Bit i is set iff the class with cycle type p meets
+    ``maximal_subgroups(p.n)[i]``."""
+    return _parts_mask(p.parts)
+
+
+def _full(n):
+    return (1 << len(maximal_subgroups(n))) - 1
+
+
 def incidence(classes, n):
     """Return ``(common, leave_one_out)``: the bitmask of the maximal
     subgroups meeting every class, and for each class the bitmask of those
     meeting all the other classes."""
-    masks = [incidence_mask(p) for p in _check_classes(classes, n)]
-    return leave_one_out(masks, (1 << len(maximal_subgroups(n))) - 1)
+    return leave_one_out(_class_masks(classes, n), _full(n))
 
 
 def invariably_generates(classes, n):
     """True iff picking any element from each class always generates S_n,
     i.e. no maximal subgroup meets every class."""
-    return incidence(classes, n)[0] == 0
+    return reduce(and_, _class_masks(classes, n)) == 0
 
 
 def is_mig_set(classes, n):
@@ -284,5 +309,7 @@ def is_mig_set(classes, n):
     meeting all the others (such a subgroup avoids the omitted class
     automatically, else it would contradict generation).
     """
-    common, leave_one_out = incidence(classes, n)
-    return common == 0 and all(leave_one_out)
+    masks = _class_masks(classes, n)
+    if reduce(and_, masks):
+        return False
+    return all(leave_one_out(masks, _full(n))[1])

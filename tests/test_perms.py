@@ -374,3 +374,22 @@ def test_stabilizer_chain_golden():
             digest = hashlib.sha256(data).hexdigest()[:16]
         found[label] = (g.order(), chain, digest)
     assert found == expected
+
+
+def test_chain_sift_count_pinned(monkeypatch):
+    # a chain build sifts each Schreier generator of a level at most once
+    # (14,742 sifts for these records without that memo); the count is
+    # deterministic, so it is pinned exactly
+    records = [rec for n in range(5, 13) for rec in maximal_subgroups(n)]
+    sifts = []
+    strip = PermGroup._strip
+
+    def counting_strip(self, h, start):
+        sifts.append(start)
+        return strip(self, h, start)
+
+    monkeypatch.setattr(PermGroup, "_strip", counting_strip)
+    for rec in records:
+        rec.group()
+    assert len(records) == 55
+    assert len(sifts) == 4402

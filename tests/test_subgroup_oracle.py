@@ -12,9 +12,11 @@ import math
 import pytest
 
 from migsets.partitions import Partition, enumerate_partitions, parity
+from migsets import subgroup_oracle
 from migsets.perms import cycle_type
 from migsets.subgroup_oracle import (
     OracleError,
+    _parts_mask,
     _validate_record,
     class_meets_subgroup,
     incidence,
@@ -271,3 +273,35 @@ def test_incidence_returns_common_and_leave_one_out_masks():
     ]
     # a single class leaves every record in its leave-one-out mask
     assert incidence([P("6")], 6) == (incidence_mask(P("6")), [(1 << 6) - 1])
+
+
+def test_equal_classes_share_one_cache_entry():
+    first, second = P("4,1,1"), Partition((1, 4, 1))
+    assert first is not second and first == second
+    mask = incidence_mask(first)
+    before = _parts_mask.cache_info()
+    assert incidence_mask(second) == mask
+    after = _parts_mask.cache_info()
+    assert after.hits == before.hits + 1
+    assert after.currsize == before.currsize
+
+
+def test_leave_one_out_only_for_generating_sets(monkeypatch):
+    calls = []
+    real = subgroup_oracle.leave_one_out
+
+    def counting(masks, full):
+        calls.append(len(masks))
+        return real(masks, full)
+
+    monkeypatch.setattr(subgroup_oracle, "leave_one_out", counting)
+    mig = [P("4,1,1"), P("3,1^3"), P("3,3")]
+    blocked = [P("5,1"), P("4,2")]
+    assert invariably_generates(mig, 6)
+    assert not invariably_generates(blocked, 6)
+    assert not is_mig_set(blocked, 6)
+    assert calls == []
+    # generating sets still get the leave-one-out answer, minimal or not
+    assert is_mig_set(mig, 6)
+    assert not is_mig_set([P("1^6")] + mig, 6)
+    assert calls == [3, 4]
