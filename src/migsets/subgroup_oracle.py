@@ -215,25 +215,19 @@ def maximal_subgroups(n):
         if n % a == 0 and 2 <= n // a:
             records.append(_imprimitive_record(n, a, n // a))
     records.append(_alternating_record(n))
-    records.extend(_load_primitive_records()[n])
     for rec in records:
-        grp = _validate_record(rec)
-        if rec.kind in _PRIMITIVE_KIND.values():
-            # the chain just built also gives the cycle types; only these
-            # sets are kept, not the chains
-            _PRIMITIVE_TYPES[rec] = grp.cycle_types()
+        _validate_record(rec)
+    for rec in _load_primitive_records()[n]:
+        # the chain that validates the record also gives its cycle types;
+        # only these sets are kept, not the chains
+        _PRIMITIVE_TYPES[rec] = _validate_record(rec).cycle_types()
+        records.append(rec)
     return tuple(records)
 
 
-# the cycle types of each primitive record, filled as the records load
+# the cycle types of each primitive record, filled as `maximal_subgroups`
+# loads it; primitive records exist only through that call
 _PRIMITIVE_TYPES = {}
-
-
-def _primitive_cycle_types(rec):
-    types = _PRIMITIVE_TYPES.get(rec)
-    if types is None:
-        types = _PRIMITIVE_TYPES[rec] = rec.group().cycle_types()
-    return types
 
 
 def class_meets_subgroup(rec, p):
@@ -248,7 +242,7 @@ def class_meets_subgroup(rec, p):
         return wreath_realizable(p, a, b)
     if rec.kind == "alternating":
         return parity(p) == "even"
-    return p in _primitive_cycle_types(rec)
+    return p in _PRIMITIVE_TYPES[rec]
 
 
 def _class_masks(classes, n):
