@@ -92,27 +92,24 @@ def lemma_partition(i, n):
             f"partial-sum DP capped at n={DEFAULT_SUM_CAP}, got {n}"
         )
     if n == 4 * i + 2:
-        parts = [1] * (i - 1) + [i + 1] * 3
+        runs = [(1, i - 1), (i + 1, 3)]
         tag = "n_eq_4i_plus_2"
     elif n == 4 * i + 4 and (n, i) != (8, 1):
         # the straightforward packing would also miss n/2 here; widening the
         # middle part restores it
-        parts = [1] * (i - 1) + [i + 1, i + 3, i + 1]
+        runs = [(1, i - 1), (i + 1, 2), (i + 3, 1)]
         tag = "n_eq_4i_plus_4"
     else:
-        parts = [1] * (i - 1) + [i + 1]
-        total = 2 * i
-        if n - total <= 2 * i + 1:
-            parts.append(n - total)
+        if n - 2 * i <= 2 * i + 1:
+            runs = [(1, i - 1), (i + 1, 1), (n - 2 * i, 1)]
         else:
-            parts.append(i + 2)
-            total += i + 2
-            while n - total >= 2 * i + 2:
-                parts.append(i + 1)
-                total += i + 1
-            parts.append(n - total)
+            # after i-1 ones, i+1 and i+2, parts i+1 follow while at least
+            # 2i+2 is left, then the rest (i+1 <= rest <= 2i+1) closes: q parts
+            # i+1 in all, and a last part i+1+r
+            q, r = divmod(n - 3 * i - 2, i + 1)
+            runs = [(1, i - 1), (i + 1, q), (i + 2, 1), (i + 1 + r, 1)]
         tag = "eight_one" if (n, i) == (8, 1) else "generic"
-    lp = LemmaPartition(i=i, n=n, p=Partition(parts), case_tag=tag)
+    lp = LemmaPartition(i=i, n=n, p=Partition._from_runs(runs), case_tag=tag)
     _check_gaps(lp)
     return lp
 
@@ -244,7 +241,7 @@ def _first_member(n):
         twos, fours = rem // 2, 0
     else:
         twos, fours = (rem - 4) // 2, 1
-    p = Partition(base + [4] * fours + [2] * twos)
+    p = Partition._from_runs([(b, 1) for b in base] + [(4, fours), (2, twos)])
     _require(parity(p) == "odd", f"first member {p} of {n} is odd")
     mask = partial_sums(p).restricted_bits()
     _require(mask == _universe(n) & ~0b10, f"first member {p} has every sum but 1")
@@ -264,10 +261,10 @@ def _block_family(n):
     top = math.floor(tvals[-1])
     _require(2 * top > n - 6, f"block structure reaches past n/2 - 3 (top {top})")
 
-    x = {}
-    for t in range(1, math.ceil(n / 3)):
+    # the i=1 ingredient is replaced by the first member, so never built
+    x = {1: _first_member(n)}
+    for t in range(2, math.ceil(n / 3)):
         x[t] = lemma_partition(t, n).p
-    x[1] = _first_member(n)
     lo = math.ceil(n / 3)
     for j in range(1, m + 1):
         hi = math.floor(tvals[j - 1])
@@ -277,11 +274,14 @@ def _block_family(n):
             # keeps the appended part dominant and the ingredient's
             # precondition a < (a+t)/3 satisfied
             _require(c > t > 2 * a, f"{c} > {t} > 2*{a} at t={t}")
-            x[t] = Partition(lemma_partition(a, a + t).p.parts + (c,))
+            x[t] = Partition._from_runs(
+                lemma_partition(a, a + t).p.multiplicities() + ((c, 1),)
+            )
         lo = hi + 1
     _require(sorted(x) == list(range(1, top + 1)), f"blocks cover 1..{top}")
 
-    members = {t: p for t, p in x.items() if t not in set(alpha)}
+    dropped = set(alpha)
+    members = {t: p for t, p in x.items() if t not in dropped}
 
     common = _universe(n)
     for p in members.values():
@@ -293,7 +293,7 @@ def _block_family(n):
         # repair case 1: one tail class squashes the shared sums
         _require(_min_bit(common) == top + 1, f"smallest shared sum is {top + 1}")
         _require(n != 6 << m, f"repair case 1 needs n != 6*2^{m}")
-        z = Partition([1] * top + [n - top])
+        z = Partition._from_runs([(1, top), (n - top, 1)])
         repair = "case1_z_added"
     else:
         # repair case 2: only when n = 6*2^m; the top block collapses to the
@@ -303,7 +303,7 @@ def _block_family(n):
         _require(tvals[-1] == n // 2 - 1, f"top block boundary is {n // 2 - 1}")
         del members[n // 2 - 1]
         members[1] = x[1]
-        z = Partition([1] * (n // 2 - 2) + [n // 2 + 2])
+        z = Partition._from_runs([(1, n // 2 - 2), (n // 2 + 2, 1)])
         repair = "case2_rebuilt"
 
     ordered = tuple(members[t] for t in sorted(members)) + (z,)
@@ -497,7 +497,7 @@ def _replay_checks(xf):
     parts are tried first: the long-cycle tail class usually settles a check
     at once."""
     n = xf.n
-    order = sorted(xf.members, key=lambda p: len(set(p.parts)))
+    order = sorted(xf.members, key=lambda p: len(p.multiplicities()))
 
     odd = next((p for p in order if parity(p) == "odd"), None)
     parity_check = _check(
@@ -512,8 +512,8 @@ def _replay_checks(xf):
         ell = jordan_witness(p)
         if ell is None:
             continue
-        k = math.lcm(*(a for a in p.parts if a != ell))
-        if power_type(p, k) == Partition([ell] + [1] * (n - ell)):
+        k = math.lcm(*(a for a, _ in p.multiplicities() if a != ell))
+        if power_type(p, k) == Partition._from_runs([(ell, 1), (1, n - ell)]):
             jordan_check = _check(
                 True, f"power {k} of {p} is a {ell}-cycle fixing {n - ell} >= 3 points"
             )

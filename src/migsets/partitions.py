@@ -7,13 +7,24 @@ module carries the class-level predicates everything else is built on:
 partial-sum masks, parity, power maps, and realizability inside an
 imprimitive wreath product.
 
+A partition also knows its runs, the (value, count) pairs of its distinct
+parts, values descending.  The lemma partitions behind every certified
+family have a hundred or more parts but at most five distinct values, so
+the certify path works per run, not per part.  `Partition._from_runs` builds
+a partition from runs in any order and keeps them; `from_text`,
+`lemma_partition` and `power_type` build through it.  `multiplicities()`
+computes the runs of any other partition on first use and keeps them too.
+The partial-sum DP splits each run of c parts a into shifts by a, 2a, 4a,
+... and the rest (binary splitting) when the partition already carries its
+runs, and otherwise shifts once per part: for the small partitions of a
+search, computing runs would cost more than it saves.
+
 All values are immutable and every function is pure.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -33,9 +44,6 @@ class PartitionTooLarge(PartitionError):
     """An operation exceeded its configured size cap."""
 
 
-# ASCII digits only, matched against the whole token (no trailing newline)
-_TOKEN = re.compile(r"([0-9]+)(?:\^([0-9]+))?")
-
 # the part types that skip Partition's per-part check
 _INT_ONLY = {int}
 
@@ -43,7 +51,7 @@ _INT_ONLY = {int}
 class Partition:
     """A partition of a positive integer; parts stored non-increasing."""
 
-    __slots__ = ("parts", "n", "_mask", "_text")
+    __slots__ = ("parts", "n", "_mask", "_text", "_runs")
 
     def __init__(self, parts):
         parts = tuple(parts)
@@ -53,7 +61,7 @@ class Partition:
             ordered = []
         # plain ints with a positive smallest part pass without a Python loop
         if not (
-            ordered and set(map(type, ordered)) == _INT_ONLY and ordered[-1] >= 1
+            ordered and _INT_ONLY.issuperset(map(type, ordered)) and ordered[-1] >= 1
         ):
             for a in parts:
                 if not isinstance(a, int) or isinstance(a, bool) or a < 1:
@@ -64,6 +72,7 @@ class Partition:
         _set_n(self, sum(ordered))
         _set_mask(self, None)
         _set_text(self, None)
+        _set_runs(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
@@ -73,20 +82,50 @@ class Partition:
         return Partition, (self.parts,)
 
     @classmethod
+    def _from_runs(cls, runs):
+        """A Partition from (value, count) pairs of ints, value >= 1 and
+        count >= 0 with some count positive, in any order.  Equal values are
+        merged and the merged runs kept.  The caller vouches for the pairs."""
+        merged = []
+        parts = []
+        n = 0
+        last = None
+        for value, count in sorted(runs, reverse=True):
+            if count:
+                parts += [value] * count
+                n += value * count
+                if value == last:
+                    count += merged.pop()[1]
+                merged.append((value, count))
+                last = value
+        p = object.__new__(cls)
+        _set_parts(p, tuple(parts))
+        _set_n(p, n)
+        _set_mask(p, None)
+        _set_text(p, None)
+        _set_runs(p, tuple(merged))
+        return p
+
+    @classmethod
     def from_text(cls, text: str) -> "Partition":
         """Parse ``7,5,1^3`` style text (any part order, optional spaces)."""
         if not isinstance(text, str):
             raise PartitionError(f"partition text must be a string, got {text!r}")
-        parts = []
+        runs = []
         total = 0
-        for token in text.split(","):
-            token = token.replace(" ", "")
-            m = _TOKEN.fullmatch(token)
-            if not m:
+        for token in text.replace(" ", "").split(","):
+            # ASCII digits only: str.isdigit alone also takes other scripts'
+            # digits and superscripts
+            value, caret, count = token.partition("^")
+            if not (
+                value.isascii()
+                and value.isdigit()
+                and (not caret or count.isascii() and count.isdigit())
+            ):
                 raise PartitionError(f"bad partition token {token!r} in {text!r}")
             try:
-                value = int(m.group(1))
-                count = int(m.group(2)) if m.group(2) else 1
+                value = int(value)
+                count = int(count) if caret else 1
             except ValueError:  # more digits than int() parses: past the cap
                 value = count = DEFAULT_SUM_CAP + 1
             if value < 1 or count < 1:
@@ -97,8 +136,8 @@ class Partition:
                 raise PartitionTooLarge(
                     f"partition text sums past the cap {DEFAULT_SUM_CAP}: {text[:40]!r}"
                 )
-            parts.extend([value] * count)
-        return cls(parts)
+            runs.append((value, count))
+        return cls._from_runs(runs)
 
     def text(self) -> str:
         """Canonical text: descending, exponent-compressed, e.g. ``7,5,1^3``."""
@@ -114,8 +153,12 @@ class Partition:
         return text
 
     def multiplicities(self) -> tuple[tuple[int, int], ...]:
-        """(value, count) pairs, values descending."""
-        return tuple((value, len(list(run))) for value, run in groupby(self.parts))
+        """(value, count) pairs, values descending: the runs, kept once known."""
+        runs = self._runs
+        if runs is None:
+            runs = tuple((value, len(list(run))) for value, run in groupby(self.parts))
+            _set_runs(self, runs)
+        return runs
 
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
@@ -142,6 +185,7 @@ _set_parts = Partition.parts.__set__
 _set_n = Partition.n.__set__
 _set_mask = Partition._mask.__set__
 _set_text = Partition._text.__set__
+_set_runs = Partition._runs.__set__
 
 
 def enumerate_partitions(n: int):
@@ -158,9 +202,17 @@ def enumerate_partitions(n: int):
 
     # Each step lowers the last part x > 1 by one and refills the tail with
     # copies of x - 1 and a remainder: the next partition in this order.
+    # The parts are positive and non-increasing by construction, so each
+    # Partition is made without __init__'s checks and sort.
     parts = [n]
     while True:
-        yield _unchecked(tuple(parts), n)
+        p = object.__new__(Partition)
+        _set_parts(p, tuple(parts))
+        _set_n(p, n)
+        _set_mask(p, None)
+        _set_text(p, None)
+        _set_runs(p, None)
+        yield p
         ones = 0
         while parts and parts[-1] == 1:
             parts.pop()
@@ -172,17 +224,6 @@ def enumerate_partitions(n: int):
         parts.extend([x] * q)
         if r:
             parts.append(r)
-
-
-def _unchecked(parts, n):
-    """A Partition of n from parts known to be positive and non-increasing,
-    without __init__'s checks and sort."""
-    p = object.__new__(Partition)
-    _set_parts(p, parts)
-    _set_n(p, n)
-    _set_mask(p, None)
-    _set_text(p, None)
-    return p
 
 
 @dataclass(frozen=True)
@@ -219,14 +260,29 @@ class PartialSumMask:
 
 
 def partial_sums(p: Partition) -> PartialSumMask:
-    """Subset-sum DP over a bit vector; each part usable once per occurrence."""
+    """Subset-sum DP over a bit vector; each part usable once per occurrence.
+
+    A partition that carries its runs takes c copies of a part a as shifts
+    by a, 2a, 4a, ... and the rest, which reach every multiple 0..c of a;
+    any other partition is shifted once per part."""
     if p.n > DEFAULT_SUM_CAP:
         raise PartitionTooLarge(f"partial-sum DP capped at n={DEFAULT_SUM_CAP}, got {p.n}")
     if p._mask is not None:
         return p._mask
     bits = 1
-    for a in p.parts:
-        bits |= bits << a
+    runs = p._runs
+    if runs is None:
+        for a in p.parts:
+            bits |= bits << a
+    else:
+        for a, count in runs:
+            k = 1
+            while k <= count:
+                bits |= bits << k * a
+                count -= k
+                k <<= 1
+            if count:
+                bits |= bits << count * a
     mask = PartialSumMask(p.n, bits)
     _set_mask(p, mask)
     return mask
@@ -250,11 +306,11 @@ def power_type(p: Partition, k: int) -> Partition:
     gcd(a, k) cycles of length a/gcd(a, k)."""
     if k < 1:
         raise PartitionError(f"need k >= 1, got {k}")
-    parts = []
-    for a in p.parts:
+    runs = []
+    for a, count in p.multiplicities():
         g = math.gcd(a, k)
-        parts.extend([a // g] * g)
-    return Partition(parts)
+        runs.append((a // g, g * count))
+    return Partition._from_runs(runs)
 
 
 def _divisors(m: int) -> list[int]:
@@ -296,10 +352,11 @@ def jordan_witness(p: Partition) -> int | None:
     raising to the lcm of the rest kills everything else but keeps the
     l-cycle), and n - l >= 3."""
     best = None
-    for value, count in p.multiplicities():
+    runs = p.multiplicities()
+    for value, count in runs:
         if count != 1 or not _is_prime(value) or p.n - value < 3:
             continue
-        if any(other != value and other % value == 0 for other in p.parts):
+        if any(other != value and other % value == 0 for other, _ in runs):
             continue
         if best is None or value > best:
             best = value

@@ -267,6 +267,115 @@ def test_text_round_trip_property(parts):
     assert Partition.from_text(p.text()) == p
 
 
+# the parser's error for each input: (text, exception class, offending
+# token); a token is named with its spaces removed
+FROM_TEXT_ERRORS = [
+    ("", PartitionError, ""),
+    ("0", PartitionError, "0"),
+    ("3^0", PartitionError, "3^0"),
+    ("a", PartitionError, "a"),
+    ("2^", PartitionError, "2^"),
+    ("^2", PartitionError, "^2"),
+    ("3,,4", PartitionError, ""),
+    ("3\n,2\n", PartitionError, "3\n"),
+    ("\u0663,2", PartitionError, "\u0663"),
+    ("2^\u0663", PartitionError, "2^\u0663"),
+    ("3^", PartitionError, "3^"),
+    ("^3", PartitionError, "^3"),
+    ("3^^2", PartitionError, "3^^2"),
+    ("3^2^2", PartitionError, "3^2^2"),
+    ("3,,2", PartitionError, ""),
+    ("\t3", PartitionError, "\t3"),
+    ("\uff13", PartitionError, "\uff13"),  # FULLWIDTH DIGIT THREE
+    ("2^\u00b2", PartitionError, "2^\u00b2"),  # SUPERSCRIPT TWO: str.isdigit takes it
+    ("5, 3 ^ ,2", PartitionError, "3^"),
+    ("2^" + "9" * 5000, PartitionTooLarge, None),
+    ("0^" + "9" * 5000, PartitionTooLarge, None),
+]
+
+
+@pytest.mark.parametrize(
+    "text, kind, token", FROM_TEXT_ERRORS, ids=[repr(t[:12]) for t, _, _ in FROM_TEXT_ERRORS]
+)
+def test_text_error_class_and_message(text, kind, token):
+    if token is None:
+        message = f"partition text sums past the cap 10000: {text[:40]!r}"
+    else:
+        message = f"bad partition token {token!r} in {text!r}"
+    with pytest.raises(PartitionError) as info:
+        Partition.from_text(text)
+    assert type(info.value) is kind
+    assert str(info.value) == message
+
+
+@st.composite
+def scattered_text(draw):
+    """A parts list and a text for it: equal parts split over several
+    tokens, tokens shuffled, spaces put anywhere."""
+    parts = draw(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=40))
+    tokens = []
+    for value, count in Counter(parts).items():
+        while count:
+            take = draw(st.integers(min_value=1, max_value=count))
+            count -= take
+            spelled = draw(st.sampled_from(["", "^"]))
+            tokens.append(f"{value}^{take}" if take > 1 or spelled else f"{value}")
+    tokens = draw(st.permutations(tokens))
+    text = ",".join(tokens)
+    spaced = "".join(c + " " * draw(st.integers(0, 2)) for c in text)
+    return parts, " " * draw(st.integers(0, 2)) + spaced
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(scattered_text())
+def test_text_with_split_runs_matches_parts(case):
+    parts, text = case
+    p = Partition.from_text(text)
+    q = Partition(parts)
+    # the per-part DP runs on q, which carries no runs yet
+    assert partial_sums(p).bits == partial_sums(q).bits
+    assert p.parts == q.parts and p.n == q.n
+    assert p.multiplicities() == q.multiplicities()
+    assert p.text() == q.text()
+    assert p == q and hash(p) == hash(q)
+    for back in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert back == q and back.text() == q.text()
+        assert partial_sums(back).bits == partial_sums(q).bits
+
+
+def test_run_dp_matches_part_dp_for_every_count():
+    # binary splitting around 2^k - 1, 2^k and 2^k + 1 copies of a part
+    for a in (1, 2, 3, 7):
+        for count in range(1, 71):
+            for tail in ((), ((5, 1),), ((a + 1, 3), (1, 2))):
+                runs = [(a, count), *tail]
+                by_runs = Partition._from_runs(runs)
+                by_parts = Partition([v for v, c in runs for _ in range(c)])
+                assert by_runs.parts == by_parts.parts
+                assert partial_sums(by_runs).bits == partial_sums(by_parts).bits
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=70)),
+        min_size=1,
+        max_size=5,
+    ).filter(lambda runs: any(c for _, c in runs))
+)
+def test_runs_constructor_merges_and_sorts(runs):
+    p = Partition._from_runs(runs)
+    parts = [v for v, c in runs for _ in range(c)]
+    q = Partition(parts)
+    assert p.parts == q.parts and p.n == q.n
+    assert p.multiplicities() == tuple(sorted(Counter(parts).items(), reverse=True))
+    assert partial_sums(p).bits == partial_sums(q).bits
+    sums = {0}
+    for a in parts:
+        sums |= {s + a for s in sums}
+    assert {i for i in range(q.n + 1) if partial_sums(p).contains(i)} == sums
+
+
 def test_enumerate_partitions_counts():
     # p(n) for n = 1..10
     expected = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42]

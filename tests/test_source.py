@@ -7,6 +7,9 @@ import re
 
 from test_family_search import DESCRIPTOR_T, MAX_FAMILY_T
 
+from migsets.constructions import lemma_partition
+from migsets.partitions import Partition, partial_sums
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -110,3 +113,20 @@ def test_stabilizer_chain_hot_loop_stays_c_level():
                 if called in ("inverse", "multiply"):
                     found.append(f"{name}:{node.lineno} calls {called}()")
     assert not found, found
+
+
+def test_parsed_and_lemma_partitions_are_built_from_runs(monkeypatch):
+    # parsing and the lemma build per run: neither may fall back to the
+    # per-part constructor, and both partitions keep their runs, so the
+    # partial-sum DP splits runs instead of shifting once per part
+    def refuse(self, parts):
+        raise AssertionError("built through Partition.__init__")
+
+    monkeypatch.setattr(Partition, "__init__", refuse)
+    parsed = Partition.from_text("7,4,3^2,2^140")
+    lemma = lemma_partition(5, 297).p
+    assert parsed._runs == ((7, 1), (4, 1), (3, 2), (2, 140))
+    assert lemma._runs == ((10, 1), (7, 1), (6, 46), (1, 4))
+    for p in (parsed, lemma):
+        assert p.multiplicities() is p._runs
+        assert partial_sums(p).bits >> p.n == 1
