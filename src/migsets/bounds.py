@@ -27,6 +27,11 @@ from fractions import Fraction
 from .partitions import _factorize
 
 
+# `bound_report` factorizes n and n - 1 by trial division up to their square
+# roots; past this degree one report no longer answers within a second
+MAX_BOUNDS_DEGREE = 10**12
+
+
 class BoundsError(ValueError):
     """Input outside a counting formula's domain."""
 
@@ -147,6 +152,8 @@ class BoundReport:
 def bound_report(n):
     if n < 2:
         raise BoundsError(f"need n >= 2, got {n}")
+    if n > MAX_BOUNDS_DEGREE:
+        raise BoundsError(f"degree capped at {MAX_BOUNDS_DEGREE}, got {n}")
     delta = divisor_count(n)
     a = count_projective(n) if n >= 3 else 0  # no pairs exist below 3
     b = count_binomial(n)

@@ -20,7 +20,7 @@ import sys
 
 from .acceptance import ALL_CRITERIA
 from .acceptance import run as run_acceptance
-from .bounds import bound_report, table1_lookup
+from .bounds import MAX_BOUNDS_DEGREE, bound_report, table1_lookup
 from .constructions import (
     ConstructionError,
     build_x_family,
@@ -203,8 +203,8 @@ def _cmd_search(args):
 def _cmd_bounds(args):
     lo = args.lo
     hi = args.hi if args.hi is not None else lo
-    if lo < 5 or hi < lo:
-        print("error: need 5 <= FROM <= TO", file=sys.stderr)
+    if not 5 <= lo <= hi <= MAX_BOUNDS_DEGREE:
+        print(f"error: need 5 <= FROM <= TO <= {MAX_BOUNDS_DEGREE}", file=sys.stderr)
         return USAGE_ERROR
     if hi - lo + 1 > MAX_SWEEP_DEGREES:
         print(f"error: a sweep covers at most {MAX_SWEEP_DEGREES} degrees", file=sys.stderr)
@@ -245,7 +245,7 @@ def _cmd_oracle(args):
         else:
             text = args.classes
         classes = _parse_classes(text, args.n)
-        common, leave_one_out = incidence(classes, args.n)
+        common, wsets = incidence(classes, args.n)
     except (OSError, UnicodeError) as exc:
         print(f"error: cannot read class list: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -254,11 +254,11 @@ def _cmd_oracle(args):
         return USAGE_ERROR
     # lowest bit = first record in maximal_subgroups order
     generates = common == 0
-    minimal = generates and all(leave_one_out)
+    minimal = generates and all(wsets)
     blocker = None if generates else records[_min_bit(common)].label
     removal = {
         p.text(): records[_min_bit(m)].label
-        for p, m in zip(classes, leave_one_out)
+        for p, m in zip(classes, wsets)
         if generates and m
     }
     if args.json:

@@ -32,8 +32,8 @@ from .family_search import (
     _universe,
     _witness_map,
     iter_families,
-    leave_one_out,
     max_family,
+    witness_sets,
 )
 from .partitions import (
     DEFAULT_SUM_CAP,
@@ -170,8 +170,7 @@ def _witness_sets(members, n):
     """Return ``(common, wsets)``: the partial sums in 1..n/2 shared by every
     member, and per member the sums all the others have and it lacks."""
     masks = [partial_sums(p).restricted_bits() for p in members]
-    common, others = leave_one_out(masks, _universe(n))
-    return common, [o & ~m for o, m in zip(others, masks)]
+    return witness_sets(masks, _universe(n))
 
 
 def _require(ok, invariant):
@@ -197,6 +196,9 @@ def build_x_family(n):
     """
     if n < 5:
         raise ConstructionError(f"families start at n=5, got {n}")
+    if n > DEFAULT_SUM_CAP:
+        # every member's partial sums are needed; refuse before building any
+        raise PartitionTooLarge(f"partial-sum DP capped at n={DEFAULT_SUM_CAP}, got {n}")
     if n <= MAX_DEGREE:
         return _searched_family(n)
     return _block_family(n)
@@ -283,11 +285,8 @@ def _block_family(n):
     dropped = set(alpha)
     members = {t: p for t, p in x.items() if t not in dropped}
 
-    common = _universe(n)
-    for p in members.values():
-        common &= partial_sums(p).restricted_bits()
     window = _universe(n) & ~((1 << (top + 1)) - 1)  # bits top+1 .. n//2
-    common &= window
+    common = _witness_sets(members.values(), n)[0] & window
 
     if common:
         # repair case 1: one tail class squashes the shared sums

@@ -41,6 +41,9 @@ membership of its type in `wreath_types(a, b)` for the imprimitive
 S_a wr S_b.  Each block shape's set of types is built once per search,
 instead of one `wreath_realizable` call per partition and shape.
 
+Both properties are read off one kernel, `witness_sets(masks, full)`: the
+AND of the masks, and per mask the bits every other mask has and it lacks.
+
 `iter_families` is a plain filter over combinations of the mask groups, and
 `max_family_bruteforce` a deliberately naive include/exclude oracle; both
 serve as references for the search.
@@ -73,7 +76,6 @@ class MaskGroup:
     """All partitions of n sharing one bit vector: the restricted partial-sum
     mask, or in the descriptor search the descriptors a class meets."""
 
-    n: int
     bits: int  # bit i set iff i is a partial sum, 1 <= i <= n//2 (masks)
     representatives: tuple
 
@@ -111,7 +113,7 @@ def _group(n, vector):
     for p in enumerate_partitions(n):
         groups.setdefault(vector(p), []).append(p)
     return [
-        MaskGroup(n=n, bits=bits, representatives=tuple(sorted(ps, key=lambda p: p.parts)))
+        MaskGroup(bits=bits, representatives=tuple(sorted(ps, key=lambda p: p.parts)))
         for bits, ps in sorted(groups.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
     ]
 
@@ -131,20 +133,21 @@ def _bits(x):
     return [b for b in range(x.bit_length()) if x >> b & 1]
 
 
-def leave_one_out(masks, full):
-    """Return ``(common, others)``: the AND of ``full`` with every mask, and
-    for each i the AND of ``full`` with every mask but ``masks[i]``.  Prefix
-    and suffix ANDs make it linear in the number of masks."""
+def witness_sets(masks, full):
+    """Return ``(common, wsets)``: the AND of ``full`` with every mask, and
+    for each i the bits of ``full`` that every other mask has and
+    ``masks[i]`` lacks.  Prefix and suffix ANDs make it linear in the
+    number of masks."""
     suffix = [full]
     for m in reversed(masks):
         suffix.append(suffix[-1] & m)
     suffix.reverse()
     common = full
-    others = []
+    wsets = []
     for i, m in enumerate(masks):
-        others.append(common & suffix[i + 1])
+        wsets.append(common & suffix[i + 1] & ~m)
         common &= m
-    return common, others
+    return common, wsets
 
 
 def _witness_map(members, wsets):
@@ -202,14 +205,11 @@ def _search(n, groups, universe, *, descriptors=()):
     )
     members = tuple(groups[k].representatives[0] for k in idxs)
     masks = tuple(vectors[k] for k in idxs)
-    _, others = leave_one_out(masks, universe)
     return SearchResult(
         n=n,
         t_max=len(members),
         optimal_family=members,
-        witness_assignment=_witness_map(
-            members, [o & ~m for o, m in zip(others, masks)]
-        ),
+        witness_assignment=_witness_map(members, witness_sets(masks, universe)[1]),
         masks=masks,
         nodes_explored=nodes,
         exhaustive=True,
@@ -225,7 +225,7 @@ def max_family(n):
     _check_degree(n, low=5)
     universe = _universe(n)
     r = _search(n, enumerate_masks(n), universe)
-    common, _ = leave_one_out(r.masks, universe)
+    common, _ = witness_sets(r.masks, universe)
     if common:
         raise SearchError(
             f"property (1) fails: every member has partial sums {_bits(common)}"
@@ -240,9 +240,8 @@ def iter_families(n, size):
         raise SearchError("family size must be positive")
     universe = _universe(n)
     for combo in itertools.combinations(enumerate_masks(n), size):
-        masks = [g.bits for g in combo]
-        common, others = leave_one_out(masks, universe)
-        if common == 0 and all(o & ~m for o, m in zip(others, masks)):
+        common, wsets = witness_sets([g.bits for g in combo], universe)
+        if common == 0 and all(wsets):
             yield from itertools.product(*(g.representatives for g in combo))
 
 

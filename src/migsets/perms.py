@@ -88,6 +88,14 @@ def cycle_type(p):
     return Partition(_cycle_lengths(p))
 
 
+def _find(parent, x):
+    """The root of x in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def _with_inverse(table):
     return table, bytes.maketrans(table, _IDENTITY)
 
@@ -316,21 +324,14 @@ class PermGroup:
 
     def orbits(self):
         parent = list(range(self.degree))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for g in self.generators:
             for x in range(self.degree):
-                rx, ry = find(x), find(g[x])
+                rx, ry = _find(parent, x), _find(parent, g[x])
                 if rx != ry:
                     parent[ry] = rx
         groups = {}
         for x in range(self.degree):
-            groups.setdefault(find(x), []).append(x)
+            groups.setdefault(_find(parent, x), []).append(x)
         return tuple(tuple(sorted(v)) for v in sorted(groups.values()))
 
     def is_transitive(self):
@@ -340,58 +341,26 @@ class PermGroup:
         """Smallest block containing both points (Atkinson's union-find
         closure); returned as the class of alpha."""
         parent = list(range(self.degree))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         queue = [(alpha, beta)]
         while queue:
             a, b = queue.pop()
-            ra, rb = find(a), find(b)
+            ra, rb = _find(parent, a), _find(parent, b)
             if ra == rb:
                 continue
             parent[rb] = ra
             for g in self.generators:
                 queue.append((g[ra], g[rb]))
-        root = find(alpha)
-        return frozenset(x for x in range(self.degree) if find(x) == root)
-
-    def minimal_block_systems(self):
-        """All minimal nontrivial block systems, as sorted tuples of blocks.
-
-        Requires transitivity.  An empty result on a transitive group means
-        the group is primitive.
-        """
-        if not self.is_transitive():
-            raise PermError("block systems are only defined for transitive groups")
-        everything = frozenset(range(self.degree))
-        blocks = set()
-        for beta in range(1, self.degree):
-            b = self._block_closure(0, beta)
-            if b != everything:
-                blocks.add(b)
-        minimal = [b for b in blocks if not any(other < b for other in blocks)]
-        systems = []
-        for b in minimal:
-            seen = {b}
-            frontier = [b]
-            while frontier:
-                blk = frontier.pop()
-                for g in self.generators:
-                    img = frozenset(g[x] for x in blk)
-                    if img not in seen:
-                        seen.add(img)
-                        frontier.append(img)
-            systems.append(tuple(sorted(tuple(sorted(blk)) for blk in seen)))
-        return tuple(sorted(systems, key=lambda sys: (len(sys[0]), sys)))
+        root = _find(parent, alpha)
+        return frozenset(x for x in range(self.degree) if _find(parent, x) == root)
 
     def is_primitive(self):
-        if not self.is_transitive():
-            return False
-        return not self.minimal_block_systems()
+        """Atkinson's test: transitive, and for each beta >= 1 the smallest
+        block containing 0 and beta is every point (a nontrivial block
+        through 0 contains the smallest one through 0 and any of its points)."""
+        return self.is_transitive() and all(
+            len(self._block_closure(0, beta)) == self.degree
+            for beta in range(1, self.degree)
+        )
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order()})"

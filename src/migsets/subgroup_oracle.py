@@ -18,11 +18,13 @@ Every question about a set of classes goes through one incidence engine:
 `incidence_mask(p)` is the bitmask of the records (in `maximal_subgroups`
 order) that the class p meets, memoised per parts tuple (there are 260
 classes of degree 5..12; a tuple hashes and compares in C), and
-`incidence(classes, n)` ANDs the masks into the records meeting every class
-and, per class, the records meeting all the others.  Invariable generation
-needs only the AND: `invariably_generates` is an empty AND, and `is_mig_set`
-returns False on a non-empty one before it computes the leave-one-out masks,
-which must then all be non-empty.
+`incidence(classes, n)` is `family_search.witness_sets` over the masks: the
+records meeting every class and, per class, the records meeting all the
+others but not it.  Invariable generation needs only the AND:
+`invariably_generates` is an empty AND, and `is_mig_set` returns False on a
+non-empty one before it computes the witness sets, which must then all be
+non-empty (when the AND is empty, a record meeting all the other classes
+cannot meet the omitted one).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from functools import lru_cache, reduce
 from importlib import resources
 from operator import and_
 
-from .family_search import leave_one_out
+from .family_search import witness_sets
 from .partitions import Partition, is_partial_sum, parity, wreath_realizable
 from .perms import PermGroup, cycle_type, from_cycles, parse_cycles
 
@@ -55,7 +57,6 @@ class MaximalSubgroupRecord:
     param: tuple  # (s,) for intransitive, (a, b) for imprimitive, () otherwise
     generators: tuple
     expected_order: int
-    class_count: int  # number of conjugate copies inside the symmetric group
 
     def group(self):
         return PermGroup(self.degree, self.generators)
@@ -92,7 +93,6 @@ def _intransitive_record(n, s):
         param=(s,),
         generators=gens,
         expected_order=order,
-        class_count=math.factorial(n) // order,
     )
 
 
@@ -106,7 +106,6 @@ def _imprimitive_record(n, a, b):
         param=(a, b),
         generators=wreath_generators(a, b),
         expected_order=order,
-        class_count=math.factorial(n) // order,
     )
 
 
@@ -120,7 +119,6 @@ def _alternating_record(n):
         param=(),
         generators=gens,
         expected_order=math.factorial(n) // 2,
-        class_count=1,
     )
 
 
@@ -161,7 +159,6 @@ def _load_primitive_records():
             param=(),
             generators=gens,
             expected_order=order,
-            class_count=math.factorial(degree) // order,
         )
         records.setdefault(degree, []).append(rec)
     if sorted(records) != list(range(MIN_DEGREE, MAX_DEGREE + 1)):
@@ -189,7 +186,7 @@ def _validate_record(rec):
         if not even:
             raise OracleError(f"{rec.label}: generators must be even")
     else:
-        if not grp.is_transitive() or not grp.is_primitive():
+        if not grp.is_primitive():
             raise OracleError(f"{rec.label}: expected a primitive group")
         if even:
             raise OracleError(
@@ -284,10 +281,10 @@ def _full(n):
 
 
 def incidence(classes, n):
-    """Return ``(common, leave_one_out)``: the bitmask of the maximal
-    subgroups meeting every class, and for each class the bitmask of those
-    meeting all the other classes."""
-    return leave_one_out(_class_masks(classes, n), _full(n))
+    """Return ``(common, wsets)``: the bitmask of the maximal subgroups
+    meeting every class, and for each class the bitmask of those meeting all
+    the other classes but not it."""
+    return witness_sets(_class_masks(classes, n), _full(n))
 
 
 def invariably_generates(classes, n):
@@ -306,4 +303,4 @@ def is_mig_set(classes, n):
     masks = _class_masks(classes, n)
     if reduce(and_, masks):
         return False
-    return all(leave_one_out(masks, _full(n))[1])
+    return all(witness_sets(masks, _full(n))[1])

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from migsets.bounds import (
+    MAX_BOUNDS_DEGREE,
     BoundsError,
     bound_report,
     corollary_inequality,
@@ -154,6 +155,14 @@ def test_domain_errors():
         upper_bound(4)
     with pytest.raises(BoundsError):
         corollary_inequality(4)
+
+
+def test_bound_report_degree_cap():
+    # trial division of n and n - 1 stays cheap up to the cap; past it the
+    # report is refused before any factorization
+    assert bound_report(MAX_BOUNDS_DEGREE).n == 10**12
+    with pytest.raises(BoundsError, match="degree capped at 1000000000000, got 1000000000001"):
+        bound_report(MAX_BOUNDS_DEGREE + 1)
 
 
 def test_report_invariants_are_checked(monkeypatch):

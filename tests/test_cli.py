@@ -347,6 +347,18 @@ def test_bounds_refuses_oversized_sweep(hi, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: a sweep covers at most 10000 degrees")
 
 
+@pytest.mark.parametrize(
+    "bounds", [["--from", "1000000000001"], ["--from", "999999999990", "--to", "1000000000001"]]
+)
+def test_bounds_refuses_oversized_degree(bounds, capsys, monkeypatch):
+    # refused before the first row: bound_report is never called
+    monkeypatch.setattr(cli, "bound_report", None)
+    assert main(["bounds", *bounds]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need 5 <= FROM <= TO <= 1000000000000\n"
+
+
 def test_bounds_json(capsys):
     assert main(["bounds", "--from", "40", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from migsets.cli import _family_payload
+from migsets.cli import _family_payload, main
 from migsets.constructions import (
     ConstructionError,
     LemmaPartition,
@@ -23,6 +23,7 @@ from migsets.constructions import (
 )
 from migsets.partitions import (
     Partition,
+    PartitionTooLarge,
     enumerate_partitions,
     parity,
     partial_sums,
@@ -453,3 +454,17 @@ def test_construct_and_certificates_digest():
             certificates.append(verify_mig_lower_bound(xf))
     assert _digest(payloads) == CONSTRUCT_DIGEST
     assert _digest(certificates) == CERTIFICATES_DIGEST
+
+
+def test_build_refuses_degree_past_sum_cap_before_building(monkeypatch, capsys):
+    # no member is built: the refusal comes before the first partition
+    def refuse(runs):
+        raise AssertionError("a member was built")
+
+    monkeypatch.setattr(Partition, "_from_runs", refuse)
+    with pytest.raises(PartitionTooLarge, match="^partial-sum DP capped at n=10000, got 1000000000$"):
+        build_x_family(10**9)
+    assert main(["construct", "--n", "1000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: partial-sum DP capped at n=10000, got 1000000000\n"

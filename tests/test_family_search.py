@@ -16,10 +16,10 @@ from migsets.family_search import (
     descriptors,
     enumerate_masks,
     iter_families,
-    leave_one_out,
     max_family,
     max_family_bruteforce,
     max_family_intransitive_imprimitive,
+    witness_sets,
 )
 from migsets.partitions import (
     Partition,
@@ -259,10 +259,10 @@ FROZEN_FAMILIES = {
 def test_max_family_frozen_families(n):
     r = max_family(n)
     assert tuple(p.text() for p in r.optimal_family) == FROZEN_FAMILIES[n]
-    common, others = leave_one_out(list(r.masks), (1 << (n // 2 + 1)) - 2)
+    common, wsets = witness_sets(list(r.masks), (1 << (n // 2 + 1)) - 2)
     assert common == 0
     assert [r.witness_assignment[p] for p in r.optimal_family] == [
-        _min_bit(o & ~m) for o, m in zip(others, r.masks)
+        _min_bit(w) for w in wsets
     ]
 
 
@@ -292,7 +292,7 @@ def test_witness_map_rejects_broken_witness_sets():
 
 def _hand_built(*vectors):
     return [
-        MaskGroup(n=0, bits=bits(*v), representatives=(f"v{k}",))
+        MaskGroup(bits=bits(*v), representatives=(f"v{k}",))
         for k, v in enumerate(vectors)
     ]
 
@@ -411,23 +411,23 @@ def test_match_witnesses_agrees_with_nonemptiness():
                 assert matching is None
 
 
-def test_leave_one_out_matches_plain_scan():
+def test_witness_sets_matches_plain_scan():
     rng = random.Random(5)
-    assert leave_one_out([], 0b111) == (0b111, [])
+    assert witness_sets([], 0b111) == (0b111, [])
     for _ in range(300):
         full = rng.getrandbits(12)
         masks = [rng.getrandbits(12) for _ in range(rng.randint(1, 8))]
-        common, others = leave_one_out(masks, full)
+        common, wsets = witness_sets(masks, full)
         expected_common = full
         for m in masks:
             expected_common &= m
         assert common == expected_common
         for i in range(len(masks)):
-            expected = full
+            expected = full & ~masks[i]
             for j, m in enumerate(masks):
                 if j != i:
                     expected &= m
-            assert others[i] == expected
+            assert wsets[i] == expected
 
 
 def test_match_witnesses_handles_contention():

@@ -218,33 +218,26 @@ def test_orbits():
     assert not g.is_transitive()
 
 
-def test_minimal_blocks_cyclic6():
+def test_block_closure_cyclic6():
+    # the 6-cycle's smallest blocks through 0: opposite points, the even
+    # points, and everything from a neighbour
     g = PermGroup(6, [from_cycles(6, [(0, 1, 2, 3, 4, 5)])])
-    systems = g.minimal_block_systems()
-    sizes = sorted(len(sys[0]) for sys in systems)
-    assert sizes == [2, 3]
-    # the size-2 system of the 6-cycle pairs opposite points
-    two = next(sys for sys in systems if len(sys[0]) == 2)
-    assert two == ((0, 3), (1, 4), (2, 5))
-
-
-def test_minimal_blocks_cyclic12_minimality():
-    g = PermGroup(12, [tuple(list(range(1, 12)) + [0])])
-    sizes = sorted(len(sys[0]) for sys in g.minimal_block_systems())
-    # size 4 and 6 systems exist but refine to 2 and 3; only minimal ones reported
-    assert sizes == [2, 3]
+    assert g._block_closure(0, 3) == {0, 3}
+    assert g._block_closure(0, 2) == g._block_closure(0, 4) == {0, 2, 4}
+    assert g._block_closure(0, 1) == g._block_closure(0, 5) == set(range(6))
+    assert not g.is_primitive()
 
 
 def test_symmetric_group_primitive():
     g = PermGroup(6, symmetric_gens(6))
-    assert g.minimal_block_systems() == ()
     assert g.is_primitive()
 
 
 def test_blocks_require_transitivity():
-    g = PermGroup(4, [from_cycles(4, [(0, 1)])])
-    with pytest.raises(PermError):
-        g.minimal_block_systems()
+    # the trivial group on two points has {0, 1} as its one block closure,
+    # so only the transitivity check rejects it
+    assert not PermGroup(2, []).is_primitive()
+    assert not PermGroup(4, [from_cycles(4, [(0, 1)])]).is_primitive()
 
 
 def test_imprimitive_wreath_blocks():
@@ -256,9 +249,57 @@ def test_imprimitive_wreath_blocks():
     ]
     g = PermGroup(6, gens)
     assert g.order() == 48
-    systems = g.minimal_block_systems()
-    assert systems == (((0, 1), (2, 3), (4, 5)),)
+    assert g._block_closure(0, 1) == {0, 1}
     assert not g.is_primitive()
+
+
+def _has_block_through_0(g):
+    """Brute force: some B with 0 in B and 1 < |B| < degree is a block.  B is
+    one iff its images under the group, found by closing the generators'
+    images into an orbit, are pairwise equal or disjoint; the generators'
+    images of B alone do not decide it."""
+    for rest in range(1, 1 << (g.degree - 1)):
+        block = frozenset([0] + [x + 1 for x in range(g.degree - 1) if rest >> x & 1])
+        if len(block) == g.degree:
+            continue
+        orbit, frontier, clean = [block], [block], True
+        while frontier and clean:
+            image = frontier.pop()
+            for gen in g.generators:
+                new = frozenset(gen[x] for x in image)
+                if new in orbit:
+                    continue
+                if any(new & other for other in orbit):
+                    clean = False
+                    break
+                orbit.append(new)
+                frontier.append(new)
+        if clean:
+            return True
+    return False
+
+
+def _reference_groups():
+    for d in range(2, 13):
+        rotation = tuple((x + 1) % d for x in range(d))
+        yield f"C_{d}", PermGroup(d, [rotation])
+        yield f"D_{d}", PermGroup(d, [rotation, tuple(-x % d for x in range(d))])
+    for n in range(5, 11):
+        for rec in maximal_subgroups(n):
+            if rec.kind != "intransitive":
+                yield rec.label, rec.group()
+    for a, b in itertools.product(range(2, 7), repeat=2):
+        if a * b <= 12:
+            yield f"S_{a} wr S_{b}", PermGroup(a * b, wreath_generators(a, b))
+
+
+def test_is_primitive_matches_brute_force_blocks():
+    checked = 0
+    for label, g in _reference_groups():
+        assert g.is_transitive(), label
+        assert g.is_primitive() == (not _has_block_through_0(g)), label
+        checked += 1
+    assert checked == 53
 
 
 def test_primitivity_of_two_transitive_group():

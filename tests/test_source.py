@@ -70,6 +70,29 @@ def test_search_knobs_stay_deleted():
     assert not found, found
 
 
+# helpers folded into one kernel or test, and a field nothing read
+FOLDED_FUNCTIONS = ("leave_one_out", "minimal_block_systems")
+
+
+def test_folded_helpers_stay_deleted():
+    # `family_search.witness_sets` is the one witness-set kernel, and
+    # `PermGroup.is_primitive` needs no list of block systems
+    found = []
+    for path in sorted((ROOT / "src" / "migsets").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.FunctionDef) and node.name in FOLDED_FUNCTIONS:
+                found.append(f"{where} def {node.name}")
+            elif isinstance(node, ast.ClassDef):
+                found += [
+                    f"{path.name}:{stmt.lineno} field class_count of {node.name}"
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and getattr(stmt.target, "id", None) == "class_count"
+                ]
+    assert not found, found
+
+
 def test_readme_examples_run():
     result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
     assert result.attempted >= 5
