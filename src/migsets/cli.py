@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 
 from .acceptance import ALL_CRITERIA
@@ -49,6 +50,8 @@ USAGE_ERROR = 2
 
 # the most degrees one `bounds` sweep computes, checked before the first row
 MAX_SWEEP_DEGREES = 10_000
+# a report trial-divides up to isqrt(n): cap degrees x isqrt(TO), checked first
+MAX_SWEEP_WORK = 10**7
 
 
 def _family_payload(xf):
@@ -208,6 +211,10 @@ def _cmd_bounds(args):
         return USAGE_ERROR
     if hi - lo + 1 > MAX_SWEEP_DEGREES:
         print(f"error: a sweep covers at most {MAX_SWEEP_DEGREES} degrees", file=sys.stderr)
+        return USAGE_ERROR
+    if (hi - lo + 1) * math.isqrt(hi) > MAX_SWEEP_WORK:
+        most = MAX_SWEEP_WORK // math.isqrt(hi)
+        print(f"error: a sweep up to {hi} covers at most {most} degrees", file=sys.stderr)
         return USAGE_ERROR
     rows = [bound_report(n) for n in range(lo, hi + 1)]
     if args.json:

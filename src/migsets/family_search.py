@@ -22,10 +22,10 @@ the members are distinct because their restrictions to B differ.  So the
 largest family is the largest witness set (up to property (1)), and witness
 sets are closed under subsets.  The search is one DFS over increasing
 universe bits that adds a bit only when every column of the enlarged set
-still has a vector.  A vector that fits column b lies inside some
-inclusion-maximal vector missing b, which fits too, so each column is
-checked against those maximal vectors alone.  The one bound cuts a branch
-when len(B) plus the bits left cannot beat the incumbent.
+still has a vector.  A node holds, as bitsets of vector indices, the
+vectors having every bit of B and per column of B those fitting it, so
+adding bit c is one AND per column.  The one bound cuts a branch when
+len(B) plus the bits left cannot beat the incumbent.
 
 The reported family realizes the first largest witness set B once: for
 each column of B, in bit order, the lowest group index whose vector fits
@@ -108,12 +108,12 @@ def _check_degree(n, *, low):
 
 def _group(n, vector):
     """All partitions of n grouped by ``vector(p)``; groups ordered by
-    popcount then vector value, representatives ordered by parts."""
+    popcount then vector value, representatives by parts (enumeration reversed)."""
     groups = {}
     for p in enumerate_partitions(n):
         groups.setdefault(vector(p), []).append(p)
     return [
-        MaskGroup(bits=bits, representatives=tuple(sorted(ps, key=lambda p: p.parts)))
+        MaskGroup(bits=bits, representatives=tuple(reversed(ps)))
         for bits, ps in sorted(groups.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
     ]
 
@@ -162,49 +162,38 @@ def _witness_map(members, wsets):
     return witness
 
 
-def _maximal(vectors):
-    """The inclusion-maximal vectors (a strict superset has more bits, so
-    it is met first)."""
-    out = []
-    for v in sorted(vectors, key=int.bit_count, reverse=True):
-        if all(v & w != v for w in out):
-            out.append(v)
-    return out
-
-
 def _search(n, groups, universe, *, descriptors=()):
     """Find the first largest witness set over the groups' vectors and
     report its first pick as the family, one representative per group."""
-    vectors = [g.bits for g in groups]
-    columns = _bits(universe)
-    maximal = {b: _maximal([v for v in vectors if not v >> b & 1]) for b in columns}
-    best = 0
+    # has[i]: the vectors (bits of their group indices) holding column i's bit
+    has = [
+        sum(1 << k for k, g in enumerate(groups) if g.bits >> b & 1)
+        for b in _bits(universe)
+    ]
+    best = []
     nodes = cuts = 0
 
-    def rec(chosen, size, start):
+    def rec(fits, common, start):
+        # fits: per chosen column, the vectors fitting it; common: the
+        # vectors holding every chosen bit
         nonlocal best, nodes, cuts
         nodes += 1
-        if size > best.bit_count():
-            best = chosen
-        for i in range(start, len(columns)):
-            if size + len(columns) - i <= best.bit_count():
+        if len(fits) > len(best):
+            best = fits
+        for i in range(start, len(has)):
+            if len(fits) + len(has) - i <= len(best):
                 cuts += 1
                 return
-            grown = chosen | 1 << columns[i]
-            if all(
-                any(v & grown == grown ^ (1 << b) for v in maximal[b])
-                for b in _bits(grown)
-            ):
-                rec(grown, size + 1, i + 1)
+            h = has[i]
+            grown = [f & h for f in fits] + [common & ~h]
+            if all(grown):
+                rec(grown, common & h, i + 1)
 
-    rec(0, 0, 0)
+    rec([], (1 << len(groups)) - 1, 0)
     # the first pick: each column's lowest vector index, listed in group order
-    idxs = sorted(
-        next(k for k, v in enumerate(vectors) if v & best == best ^ (1 << b))
-        for b in _bits(best)
-    )
+    idxs = sorted(_min_bit(f) for f in best)
     members = tuple(groups[k].representatives[0] for k in idxs)
-    masks = tuple(vectors[k] for k in idxs)
+    masks = tuple(groups[k].bits for k in idxs)
     return SearchResult(
         n=n,
         t_max=len(members),

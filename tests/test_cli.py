@@ -348,6 +348,38 @@ def test_bounds_refuses_oversized_sweep(hi, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "lo, hi, most",
+    [
+        ("999999999990", "1000000000000", 10),
+        ("1000001", "1010000", 9960),
+        ("100000000", "100001000", 1000),
+    ],
+)
+def test_bounds_refuses_costly_sweep(lo, hi, most, capsys, monkeypatch):
+    # few enough degrees, but each trial-divides up to isqrt(TO): refused
+    # before the first row, so bound_report is never called
+    monkeypatch.setattr(cli, "bound_report", None)
+    assert main(["bounds", "--from", lo, "--to", hi]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: a sweep up to {hi} covers at most {most} degrees\n"
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [("5", "10000"), ("1000000000000", "1000000000000"), ("999999999991", "1000000000000")],
+)
+def test_bounds_accepts_sweep_within_work_cap(lo, hi, monkeypatch):
+    # the largest sweeps each cap allows still run, one report per degree
+    real = cli.bound_report
+    seen = []
+    monkeypatch.setattr(cli, "bound_report", lambda n: seen.append(n) or real(40))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["bounds", "--from", lo, "--to", hi]) == 0
+    assert seen == list(range(int(lo), int(hi) + 1))
+
+
+@pytest.mark.parametrize(
     "bounds", [["--from", "1000000000001"], ["--from", "999999999990", "--to", "1000000000001"]]
 )
 def test_bounds_refuses_oversized_degree(bounds, capsys, monkeypatch):

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from migsets import family_search
 from migsets.family_search import (
@@ -92,6 +94,8 @@ def test_enumerate_masks_groups_sorted_and_complete():
         for g in groups:
             for p in g.representatives:
                 assert partial_sums(p).restricted_bits() == g.bits
+            parts = [p.parts for p in g.representatives]
+            assert parts == sorted(parts)
 
 
 def _all_partitions(n):
@@ -216,8 +220,9 @@ MAX_FAMILY_T = dict(
 )
 DESCRIPTOR_T = dict(
     zip(
-        range(12, 33),
-        (5, 5, 5, 6, 6, 7, 7, 7, 8, 8, 9, 9, 10, 11, 10, 11, 12, 12, 12, 13, 13),
+        range(12, 36),
+        (5, 5, 5, 6, 6, 7, 7, 7, 8, 8, 9, 9, 10, 11, 10, 11, 12, 12, 12, 13, 13)
+        + (14, 14, 15),
     )
 )
 
@@ -309,6 +314,47 @@ def test_first_pick_with_common_bits_is_refused(monkeypatch):
     monkeypatch.setattr(family_search, "enumerate_masks", lambda n: groups)
     with pytest.raises(SearchError, match=r"partial sums \[3\]"):
         max_family(6)
+
+
+def _fits(v, chosen, b):
+    # v fits column b of the bit set `chosen`: it lacks b and holds the rest
+    return v & chosen == chosen ^ (1 << b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda width: st.tuples(
+            st.just(width), st.lists(st.integers(0, (1 << width) - 1), max_size=10)
+        )
+    )
+)
+@example((3, [0, 0b011, 0b011, 0b001, 0b110, 0b111, 0]))
+def test_search_matches_brute_force_witness_sets(case):
+    # independent of the bitset DFS: the first largest witness set is the
+    # lexicographically first largest subset of columns that is one, and
+    # each column of it is realized by the lowest-index vector fitting it
+    width, vectors = case
+
+    def is_witness_set(cols):
+        chosen = bits(*cols)
+        return all(any(_fits(v, chosen, b) for v in vectors) for b in cols)
+
+    first = next(
+        cols
+        for size in range(width, -1, -1)
+        for cols in itertools.combinations(range(width), size)
+        if is_witness_set(cols)
+    )
+    chosen = bits(*first)
+    picks = sorted(
+        next(k for k, v in enumerate(vectors) if _fits(v, chosen, b)) for b in first
+    )
+    groups = [MaskGroup(bits=v, representatives=(f"v{k}",)) for k, v in enumerate(vectors)]
+    r = _search(0, groups, (1 << width) - 1)
+    assert r.t_max == len(first)
+    assert r.optimal_family == tuple(f"v{k}" for k in picks)
+    assert r.masks == tuple(vectors[k] for k in picks)
 
 
 def test_sandwich_bounds():

@@ -71,12 +71,13 @@ def test_search_knobs_stay_deleted():
 
 
 # helpers folded into one kernel or test, and a field nothing read
-FOLDED_FUNCTIONS = ("leave_one_out", "minimal_block_systems")
+FOLDED_FUNCTIONS = ("leave_one_out", "minimal_block_systems", "_maximal")
 
 
 def test_folded_helpers_stay_deleted():
-    # `family_search.witness_sets` is the one witness-set kernel, and
-    # `PermGroup.is_primitive` needs no list of block systems
+    # `family_search.witness_sets` is the one witness-set kernel,
+    # `PermGroup.is_primitive` needs no list of block systems, and the
+    # search checks columns on index bitsets, not on maximal vectors
     found = []
     for path in sorted((ROOT / "src" / "migsets").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -90,6 +91,24 @@ def test_folded_helpers_stay_deleted():
                     if isinstance(stmt, ast.AnnAssign)
                     and getattr(stmt.target, "id", None) == "class_count"
                 ]
+    assert not found, found
+
+
+def test_witness_set_dfs_scans_no_vectors():
+    # each DFS node works on index bitsets built once per search; naming
+    # the vectors or groups inside `rec` would bring back per-node scans
+    tree = ast.parse((ROOT / "src" / "migsets" / "family_search.py").read_text())
+    search = next(
+        n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_search"
+    )
+    rec = next(
+        n for n in ast.walk(search) if isinstance(n, ast.FunctionDef) and n.name == "rec"
+    )
+    found = [
+        f"rec:{node.lineno} names {node.id}"
+        for node in ast.walk(rec)
+        if isinstance(node, ast.Name) and node.id in ("vectors", "groups")
+    ]
     assert not found, found
 
 
