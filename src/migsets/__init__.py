@@ -31,7 +31,6 @@ from .family_search import (
     iter_families,
     max_family,
     max_family_bruteforce,
-    max_family_intransitive_imprimitive,
 )
 from .partitions import (
     Partition,
@@ -53,6 +52,7 @@ from .subgroup_oracle import (
     class_meets_subgroup,
     invariably_generates,
     is_mig_set,
+    max_family_intransitive_imprimitive,
     maximal_subgroups,
 )
 

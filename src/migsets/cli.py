@@ -31,18 +31,14 @@ from .constructions import (
     verify_mig_lower_bound,
     verify_x_family,
 )
-from .family_search import (
-    SearchError,
-    _min_bit,
-    max_family,
-    max_family_intransitive_imprimitive,
-)
+from .family_search import SearchError, _min_bit, max_family
 from .partitions import Partition, PartitionError
 from .subgroup_oracle import (
     MAX_DEGREE,
     MIN_DEGREE,
     OracleError,
     incidence,
+    max_family_intransitive_imprimitive,
     maximal_subgroups,
 )
 
@@ -378,7 +374,7 @@ def _build_parser():
     p.add_argument(
         "--descriptors",
         action="store_true",
-        help="witness by intransitive/imprimitive subgroup descriptors instead",
+        help="witness by the maximal intransitive/imprimitive subgroups instead",
     )
     p.set_defaults(func=_cmd_search)
 

@@ -459,7 +459,7 @@ def _exact_oracle_checks(xf):
         if common >> i & 1:
             by_kind.setdefault(rec.kind, []).append(rec.label)
     parity_ok = "alternating" not in by_kind
-    jordan_ok = not any(k in by_kind for k in ("affine", "almost_simple", "primitive"))
+    jordan_ok = not any(k in by_kind for k in ("affine", "almost_simple"))
     blocks_ok = "imprimitive" not in by_kind
     mig = common == 0 and all(others)
     return {

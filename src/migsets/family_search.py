@@ -35,11 +35,9 @@ pick and raises `SearchError` if its AND over the universe is not 0; the
 first pick has had an empty AND at every degree 5..40, so no search over
 other picks is kept.  The descriptor search has no property (1).
 
-In the descriptor search a class's vector has one bit per descriptor it
-meets: a partial sum s of its type for the intransitive S_s x S_{n-s}, and
-membership of its type in `wreath_types(a, b)` for the imprimitive
-S_a wr S_b.  Each block shape's set of types is built once per search,
-instead of one `wreath_realizable` call per partition and shape.
+The descriptor search, `subgroup_oracle.max_family_intransitive_imprimitive`,
+runs `_search` on the vectors of the intransitive and imprimitive maximal
+subgroups each class meets.
 
 Both properties are read off one kernel, `witness_sets(masks, full)`: the
 AND of the masks, and per mask the bits every other mask has and it lacks.
@@ -54,13 +52,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .partitions import (
-    DEFAULT_ENUMERATION_CAP,
-    _divisors,
-    enumerate_partitions,
-    partial_sums,
-    wreath_types,
-)
+from .partitions import DEFAULT_ENUMERATION_CAP, enumerate_partitions, partial_sums
 
 
 # The include/exclude oracle doubles its work per mask; refuse past this.
@@ -274,40 +266,3 @@ def max_family_bruteforce(n):
 
     rec(0, [])
     return best
-
-
-def descriptors(n):
-    """Intransitive and imprimitive subgroup descriptors of degree n:
-    set sizes 1..⌊n/2⌋, then block shapes (a, b) with ab = n, a, b >= 2."""
-    return tuple(
-        [("intransitive", s) for s in range(1, n // 2 + 1)]
-        + [("imprimitive", a, n // a) for a in _divisors(n)[1:-1]]
-    )
-
-
-def max_family_intransitive_imprimitive(n):
-    """Largest family of classes each privately avoiding one intransitive or
-    imprimitive descriptor while meeting all the others' (the descriptor
-    analogue of max_family, without the empty-intersection demand)."""
-    _check_degree(n, low=5)
-    descs = descriptors(n)
-    half = _universe(n)
-    blocks = [
-        (d, wreath_types(a, b))
-        for d, (_, a, b) in enumerate(descs[n // 2 :], n // 2)
-    ]
-
-    def vector(p):
-        # descriptor d < n//2 is the intransitive size d + 1: a partial sum
-        vec = (partial_sums(p).bits & half) >> 1
-        for d, types in blocks:
-            if p.parts in types:
-                vec |= 1 << d
-        return vec
-
-    return _search(
-        n,
-        _group(n, vector),
-        (1 << len(descs)) - 1,
-        descriptors=descs,
-    )

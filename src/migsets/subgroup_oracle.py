@@ -1,18 +1,19 @@
 """Exact invariable-generation oracle for small symmetric groups.
 
 For 5 <= n <= 12 this module knows the full list of conjugacy-class
-representatives of maximal subgroups of the symmetric group: the alternating
-group, the subset stabilizers, the block-system stabilizers, and the handful
-of primitive groups.  The primitive representatives ship as generator strings
-in ``data/maximal_subgroups.txt``; everything else is constructed here.  Every
-record is validated against its stated order when loaded.
+representatives of maximal subgroups of the symmetric group: the subset and
+block-system stabilizers (`structural_records`, built without a group for
+any n <= 40), the alternating group, and the handful of primitive groups,
+which ship as generator strings in ``data/maximal_subgroups.txt``.  Every
+record is validated against its stated order when `maximal_subgroups` loads it.
 
-Whether a conjugacy class of the symmetric group (given by its cycle type)
-meets a subgroup in the list is decided per kind: subset stabilizers by a
-partial-sum check, block stabilizers by the wreath realizability test,
-the alternating group by parity, and the primitive groups by their frozen
-cycle-type sets (enumerated once from the chain that validated the record;
-all have order at most 1440).
+Which structural records a class meets is one function per degree,
+`structural_vector(n)` (partial sums, and `wreath_types` membership for
+block stabilizers); the descriptor search runs `family_search._search` on it.
+The alternating group is decided by parity and the primitive groups by their
+frozen cycle-type sets (enumerated once from the chain that validated the
+record; all have order at most 1440).  `class_meets_subgroup` decides every
+kind directly and is the reference the tests hold the masks to.
 
 Every question about a set of classes goes through one incidence engine:
 `incidence_mask(p)` is the bitmask of the records (in `maximal_subgroups`
@@ -35,8 +36,16 @@ from functools import lru_cache, reduce
 from importlib import resources
 from operator import and_
 
-from .family_search import witness_sets
-from .partitions import Partition, is_partial_sum, parity, wreath_realizable
+from .family_search import _check_degree, _group, _search, witness_sets
+from .partitions import (
+    Partition,
+    _divisors,
+    is_partial_sum,
+    parity,
+    partial_sums,
+    wreath_realizable,
+    wreath_types,
+)
 from .perms import PermGroup, cycle_type, from_cycles, parse_cycles
 
 MIN_DEGREE = 5
@@ -196,6 +205,47 @@ def _validate_record(rec):
 
 
 @lru_cache(maxsize=None)
+def structural_records(n):
+    """The maximal S_s x S_{n-s} of S_n for s = 1..(n-1)//2, then S_a wr S_b
+    for each divisor 1 < a < n; no group is built, so any n <= 40 works."""
+    return tuple(
+        [_intransitive_record(n, s) for s in range(1, (n - 1) // 2 + 1)]
+        + [_imprimitive_record(n, a, n // a) for a in _divisors(n)[1:-1]]
+    )
+
+
+@lru_cache(maxsize=None)
+def structural_vector(n):
+    """The function p -> bitmask of the `structural_records(n)` that the class
+    of type p meets: bit s - 1 when s is a partial sum of p, and the bit of
+    S_a wr S_b when p is in `wreath_types(a, b)`, built once per degree."""
+    records = structural_records(n)
+    k = (n - 1) // 2  # records[:k] are S_s x S_{n-s} for s = 1..k
+    low = (1 << (k + 1)) - 2
+    blocks = [(i, wreath_types(*rec.param)) for i, rec in enumerate(records[k:], k)]
+
+    def vector(p):
+        vec = (partial_sums(p).bits & low) >> 1
+        for i, types in blocks:
+            if p.parts in types:
+                vec |= 1 << i
+        return vec
+
+    return vector
+
+
+def max_family_intransitive_imprimitive(n):
+    """Largest family of classes each privately avoiding one intransitive or
+    imprimitive maximal subgroup while meeting all the others' (the analogue
+    of `family_search.max_family` without the empty-intersection demand)."""
+    _check_degree(n, low=5)
+    records = structural_records(n)
+    full = (1 << len(records)) - 1
+    descriptors = tuple((rec.kind, *rec.param) for rec in records)
+    return _search(n, _group(n, structural_vector(n)), full, descriptors=descriptors)
+
+
+@lru_cache(maxsize=None)
 def maximal_subgroups(n):
     """Conjugacy-class representatives of the maximal subgroups of S_n.
 
@@ -205,13 +255,7 @@ def maximal_subgroups(n):
     """
     if not MIN_DEGREE <= n <= MAX_DEGREE:
         raise OracleError(f"degree {n} outside supported range 5..{MAX_DEGREE}")
-    records = []
-    for s in range(1, (n - 1) // 2 + 1):
-        records.append(_intransitive_record(n, s))
-    for a in range(2, n):
-        if n % a == 0 and 2 <= n // a:
-            records.append(_imprimitive_record(n, a, n // a))
-    records.append(_alternating_record(n))
+    records = [*structural_records(n), _alternating_record(n)]
     for rec in records:
         _validate_record(rec)
     for rec in _load_primitive_records()[n]:
@@ -261,11 +305,13 @@ def _class_masks(classes, n):
 
 @lru_cache(maxsize=None)
 def _parts_mask(parts):
-    # keyed on the parts tuple, whose hash and equality run in C
+    # keyed on the parts tuple, whose hash and equality run in C; the
+    # structural records come first and take their bits from their vector
     p = Partition(parts)
-    mask = 0
-    for i, rec in enumerate(maximal_subgroups(p.n)):
-        if class_meets_subgroup(rec, p):
+    records = maximal_subgroups(p.n)
+    mask = structural_vector(p.n)(p)
+    for i in range(len(structural_records(p.n)), len(records)):
+        if class_meets_subgroup(records[i], p):
             mask |= 1 << i
     return mask
 

@@ -309,6 +309,8 @@ def test_search_descriptors(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["t_max"] == 5
     assert ["imprimitive", 2, 6] in data["descriptors"]
+    # S_6 x S_6 is not maximal in S_12: it lies in S_6 wr S_2
+    assert ["intransitive", 6] not in data["descriptors"]
 
 
 def test_search_usage_error(capsys):

@@ -8,19 +8,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from migsets import family_search
+from migsets import family_search, subgroup_oracle
 from migsets.family_search import (
     MaskGroup,
     SearchError,
     _min_bit,
     _search,
     _witness_map,
-    descriptors,
     enumerate_masks,
     iter_families,
     max_family,
     max_family_bruteforce,
-    max_family_intransitive_imprimitive,
     witness_sets,
 )
 from migsets.partitions import (
@@ -28,6 +26,12 @@ from migsets.partitions import (
     is_partial_sum,
     partial_sums,
     wreath_realizable,
+)
+from migsets.subgroup_oracle import (
+    incidence_mask,
+    max_family_intransitive_imprimitive,
+    maximal_subgroups,
+    structural_records,
 )
 
 
@@ -196,9 +200,9 @@ def _largest_witness_family(vectors, universe):
 
 def test_pruning_does_not_change_answer():
     # the descriptor search against include/exclude over its vectors, each
-    # built from the descriptor definitions
+    # built from the definitions of the records it witnesses by
     for n in range(5, 14):
-        descs = descriptors(n)
+        descs = [(rec.kind, *rec.param) for rec in structural_records(n)]
         vectors = sorted(
             {
                 sum(1 << d for d, desc in enumerate(descs) if _meets(p, desc))
@@ -273,7 +277,7 @@ def test_max_family_frozen_families(n):
 
 # nodes explored are machine-independent and part of `search --json`
 MAX_FAMILY_NODES = (3, 3, 4, 4, 4, 5, 5, 14, 6, 18, 16, 25)
-DESCRIPTOR_NODES = (3, 8, 4, 17, 10, 20, 5, 82, 6, 66, 54, 156)
+DESCRIPTOR_NODES = (3, 5, 4, 8, 10, 11, 5, 48, 6, 38, 54, 94)
 
 
 def test_node_counts_frozen():
@@ -484,24 +488,26 @@ def test_match_witnesses_handles_contention():
     assert m is not None and len(set(m.values())) == 3
 
 
-def test_descriptor_list_n12():
-    d = descriptors(12)
-    assert len(d) == 10
-    assert d[:6] == tuple(("intransitive", s) for s in range(1, 7))
-    assert d[6:] == (
-        ("imprimitive", 2, 6),
-        ("imprimitive", 3, 4),
-        ("imprimitive", 4, 3),
-        ("imprimitive", 6, 2),
-    )
+def test_descriptors_are_the_oracle_structural_records():
+    # the search witnesses by the intransitive and imprimitive maximal
+    # subgroups, with the vectors the oracle's incidence masks start with
+    for n in range(5, 13):
+        kinds = ("intransitive", "imprimitive")
+        structural = [rec for rec in maximal_subgroups(n) if rec.kind in kinds]
+        r = max_family_intransitive_imprimitive(n)
+        assert r.descriptors == tuple((rec.kind, *rec.param) for rec in structural), n
+        low = (1 << len(structural)) - 1
+        assert list(r.masks) == [incidence_mask(p) & low for p in r.optimal_family]
 
 
-def test_descriptor_list_matches_divisor_scan():
-    for n in range(2, 61):
-        sizes = range(1, n // 2 + 1)
-        blocks = [("imprimitive", a, n // a) for a in sizes[1:] if n % a == 0]
-        intransitive = [("intransitive", s) for s in sizes]
-        assert descriptors(n) == tuple(intransitive + blocks), n
+def test_structural_records_match_divisor_scan():
+    # S_{n/2} x S_{n/2} lies in S_{n/2} wr S_2, so no record is intransitive at n/2
+    for n in range(5, 41):
+        intransitive = [("intransitive", (s,)) for s in range(1, n) if 2 * s < n]
+        blocks = [("imprimitive", (a, n // a)) for a in range(2, n) if n % a == 0]
+        records = structural_records(n)
+        assert [(rec.kind, rec.param) for rec in records] == intransitive + blocks, n
+        assert all(rec.param != (n / 2,) for rec in records)
 
 
 def test_descriptor_variant_dominates_mask_search():
@@ -542,17 +548,28 @@ def test_descriptor_variant_witnesses():
 
 
 def test_descriptor_search_builds_wreath_types_once(monkeypatch):
-    # the descriptor vectors come from wreath_types, not from a
-    # wreath_realizable call per partition and block shape
+    # the descriptor vectors come from one wreath_types call per block shape
+    # and degree, not from a wreath_realizable call per partition and shape
     from migsets import partitions
 
     def refuse(*args):
         raise AssertionError("wreath_realizable called")
 
-    monkeypatch.setattr(partitions, "wreath_realizable", refuse)
-    monkeypatch.setattr(family_search, "wreath_realizable", refuse, raising=False)
+    built = []
+
+    def counted(a, b):
+        built.append((a, b))
+        return partitions.wreath_types(a, b)
+
+    for module in (partitions, family_search, subgroup_oracle):
+        monkeypatch.setattr(module, "wreath_realizable", refuse, raising=False)
+    monkeypatch.setattr(subgroup_oracle, "wreath_types", counted)
+    subgroup_oracle.structural_vector.cache_clear()
     for n in (16, 24):
-        assert max_family_intransitive_imprimitive(n).t_max == DESCRIPTOR_T[n]
+        for _ in range(2):
+            assert max_family_intransitive_imprimitive(n).t_max == DESCRIPTOR_T[n]
+    shapes_24 = [(2, 12), (3, 8), (4, 6), (6, 4), (8, 3), (12, 2)]
+    assert built == [(2, 8), (4, 4), (8, 2)] + shapes_24
 
 
 def test_descriptor_variant_cap():

@@ -71,13 +71,14 @@ def test_search_knobs_stay_deleted():
 
 
 # helpers folded into one kernel or test, and a field nothing read
-FOLDED_FUNCTIONS = ("leave_one_out", "minimal_block_systems", "_maximal")
+FOLDED_FUNCTIONS = ("leave_one_out", "minimal_block_systems", "_maximal", "descriptors")
 
 
 def test_folded_helpers_stay_deleted():
     # `family_search.witness_sets` is the one witness-set kernel,
     # `PermGroup.is_primitive` needs no list of block systems, and the
-    # search checks columns on index bitsets, not on maximal vectors
+    # search checks columns on index bitsets, not on maximal vectors; the
+    # descriptor search witnesses by the oracle's records, not its own list
     found = []
     for path in sorted((ROOT / "src" / "migsets").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -92,6 +93,20 @@ def test_folded_helpers_stay_deleted():
                     and getattr(stmt.target, "id", None) == "class_count"
                 ]
     assert not found, found
+
+
+def test_family_search_lists_no_subgroups():
+    # which intransitive and imprimitive subgroups S_n has, and which classes
+    # meet them, is decided in subgroup_oracle only
+    tree = ast.parse((ROOT / "src" / "migsets" / "family_search.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not names & {"wreath_types", "_divisors"}
 
 
 def test_witness_set_dfs_scans_no_vectors():
