@@ -49,6 +49,20 @@ def _is_prime_power(q):
     return len(_factorize(q)) == 1
 
 
+def _solve(f, lo, hi, n):
+    """The x in lo..hi with f(x) = n for an increasing f, or None."""
+    while lo <= hi:
+        x = (lo + hi) // 2
+        val = f(x)
+        if val == n:
+            return x
+        if val < n:
+            lo = x + 1
+        else:
+            hi = x - 1
+    return None
+
+
 def count_projective(n):
     """a_n: pairs (q, d), q a prime power, d >= 2, with 1+q+...+q^(d-1) = n."""
     if n < 3:
@@ -56,18 +70,9 @@ def count_projective(n):
     count = 1 if _is_prime_power(n - 1) else 0  # d = 2
     d = 3
     while (1 << d) - 1 <= n:  # q = 2 is the smallest candidate
-        lo, hi = 2, n
-        while lo <= hi:
-            q = (lo + hi) // 2
-            val = (q**d - 1) // (q - 1)
-            if val == n:
-                if _is_prime_power(q):
-                    count += 1
-                break
-            if val < n:
-                lo = q + 1
-            else:
-                hi = q - 1
+        q = _solve(lambda q: (q**d - 1) // (q - 1), 2, n, n)
+        if q is not None and _is_prime_power(q):
+            count += 1
         d += 1
     return count
 
@@ -82,17 +87,8 @@ def count_binomial(n):
     count = 0
     k = 2
     while math.comb(2 * k, k) <= n:
-        lo, hi = 2 * k, 2 * k + n  # C(2k + n, k) >= n for k >= 2
-        while lo <= hi:
-            d = (lo + hi) // 2
-            val = math.comb(d, k)
-            if val == n:
-                count += 1
-                break
-            if val < n:
-                lo = d + 1
-            else:
-                hi = d - 1
+        # C(2k + n, k) >= n for k >= 2
+        count += _solve(lambda d: math.comb(d, k), 2 * k, 2 * k + n, n) is not None
         k += 1
     return count
 

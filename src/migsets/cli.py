@@ -18,6 +18,7 @@ import contextlib
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from .acceptance import ALL_CRITERIA
 from .acceptance import run as run_acceptance
@@ -78,11 +79,7 @@ def _open_output(path):
 
 
 def _cmd_lemma(args):
-    try:
-        info = verify_lemma(lemma_partition(args.i, args.n))
-    except (ConstructionError, PartitionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    info = verify_lemma(lemma_partition(args.i, args.n))
     if args.json:
         print(json.dumps(info))
     else:
@@ -93,11 +90,7 @@ def _cmd_lemma(args):
 
 
 def _cmd_construct(args):
-    try:
-        xf = build_x_family(args.n)
-    except (ConstructionError, PartitionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    xf = build_x_family(args.n)
     payload = _family_payload(xf)
     out = _open_output(args.output)
     if out is None:
@@ -167,14 +160,10 @@ def _cmd_verify(args):
 
 
 def _cmd_search(args):
-    try:
-        if args.descriptors:
-            r = max_family_intransitive_imprimitive(args.n)
-        else:
-            r = max_family(args.n)
-    except (SearchError, PartitionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    if args.descriptors:
+        r = max_family_intransitive_imprimitive(args.n)
+    else:
+        r = max_family(args.n)
     payload = {
         "n": r.n,
         "t_max": r.t_max,
@@ -252,9 +241,6 @@ def _cmd_oracle(args):
     except (OSError, UnicodeError) as exc:
         print(f"error: cannot read class list: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (PartitionError, OracleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     # lowest bit = first record in maximal_subgroups order
     generates = common == 0
     minimal = generates and all(wsets)
@@ -318,21 +304,7 @@ def _cmd_repro(args):
         if fh:
             fh.write("\n".join(summary) + "\n")
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "number": r.number,
-                        "name": r.name,
-                        "passed": r.passed,
-                        "expected_failure": r.expected_failure,
-                        "runtime": round(r.runtime, 2),
-                        "detail": r.detail,
-                    }
-                    for r in results
-                ]
-            )
-        )
+        print(json.dumps([{**asdict(r), "runtime": round(r.runtime, 2)} for r in results]))
     else:
         print("\n".join(summary))
     return 0 if ok else 1
@@ -413,7 +385,12 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConstructionError, PartitionError, SearchError, OracleError) as exc:
+        # input the library refuses, such as a degree outside a command's range
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -10,10 +10,12 @@ record is validated against its stated order when `maximal_subgroups` loads it.
 Which structural records a class meets is one function per degree,
 `structural_vector(n)` (partial sums, and `wreath_types` membership for
 block stabilizers); the descriptor search runs `family_search._search` on it.
-The alternating group is decided by parity and the primitive groups by their
-frozen cycle-type sets (enumerated once from the chain that validated the
-record; all have order at most 1440).  `class_meets_subgroup` decides every
-kind directly and is the reference the tests hold the masks to.
+The alternating group is decided by parity and a primitive group by the
+cycle-type set its record carries (enumerated once, when `maximal_subgroups`
+loads the record, from the chain that validated it; all have order at most
+1440).  A primitive record's kind comes from its label: affine for AGL(..),
+almost simple otherwise.  `class_meets_subgroup` decides every kind directly
+and is the reference the tests hold the masks to.
 
 Every question about a set of classes goes through one incidence engine:
 `incidence_mask(p)` is the bitmask of the records (in `maximal_subgroups`
@@ -31,7 +33,7 @@ cannot meet the omitted one).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
 from importlib import resources
 from operator import and_
@@ -66,6 +68,9 @@ class MaximalSubgroupRecord:
     param: tuple  # (s,) for intransitive, (a, b) for imprimitive, () otherwise
     generators: tuple
     expected_order: int
+    # a primitive record's cycle types, set by `maximal_subgroups`; not part
+    # of the record's identity, so hashes, equality and messages ignore it
+    cycle_types: frozenset | None = field(default=None, compare=False, repr=False)
 
     def group(self):
         return PermGroup(self.degree, self.generators)
@@ -131,18 +136,6 @@ def _alternating_record(n):
     )
 
 
-_PRIMITIVE_KIND = {
-    "AGL(1,5)": "affine",
-    "PGL(2,5)": "almost_simple",
-    "AGL(1,7)": "affine",
-    "PGL(2,7)": "almost_simple",
-    "AGL(2,3)": "affine",
-    "PGammaL(2,9)": "almost_simple",
-    "AGL(1,11)": "affine",
-    "PGL(2,11)": "almost_simple",
-}
-
-
 @lru_cache(maxsize=None)
 def _load_primitive_records():
     text = (
@@ -158,13 +151,11 @@ def _load_primitive_records():
             raise OracleError(f"malformed dataset line: {line!r}")
         degree, label, order, gen_text = fields
         degree, order = int(degree), int(order)
-        if label not in _PRIMITIVE_KIND:
-            raise OracleError(f"unknown primitive label {label!r}")
         gens = tuple(parse_cycles(t, degree) for t in gen_text.split(";"))
         rec = MaximalSubgroupRecord(
             degree=degree,
             label=label,
-            kind=_PRIMITIVE_KIND[label],
+            kind="affine" if label.startswith("AGL") else "almost_simple",
             param=(),
             generators=gens,
             expected_order=order,
@@ -254,21 +245,15 @@ def maximal_subgroups(n):
     groups from the bundled dataset.
     """
     if not MIN_DEGREE <= n <= MAX_DEGREE:
-        raise OracleError(f"degree {n} outside supported range 5..{MAX_DEGREE}")
+        raise OracleError(f"degree {n} outside supported range {MIN_DEGREE}..{MAX_DEGREE}")
     records = [*structural_records(n), _alternating_record(n)]
     for rec in records:
         _validate_record(rec)
     for rec in _load_primitive_records()[n]:
         # the chain that validates the record also gives its cycle types;
         # only these sets are kept, not the chains
-        _PRIMITIVE_TYPES[rec] = _validate_record(rec).cycle_types()
-        records.append(rec)
+        records.append(replace(rec, cycle_types=_validate_record(rec).cycle_types()))
     return tuple(records)
-
-
-# the cycle types of each primitive record, filled as `maximal_subgroups`
-# loads it; primitive records exist only through that call
-_PRIMITIVE_TYPES = {}
 
 
 def class_meets_subgroup(rec, p):
@@ -283,7 +268,7 @@ def class_meets_subgroup(rec, p):
         return wreath_realizable(p, a, b)
     if rec.kind == "alternating":
         return parity(p) == "even"
-    return p in _PRIMITIVE_TYPES[rec]
+    return p in rec.cycle_types
 
 
 def _class_masks(classes, n):

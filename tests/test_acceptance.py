@@ -7,10 +7,13 @@ set) and the stated degree-22 bound components (a_22 = 1 is unreachable
 because 21 = 3 * 7 is not a prime power).
 """
 
+import dataclasses
+
 import pytest
 
 from migsets import acceptance
 from migsets.bounds import upper_bound
+from migsets.cli import main
 from migsets.constructions import build_x_family
 from migsets.subgroup_oracle import is_mig_set
 
@@ -129,6 +132,26 @@ def test_criterion_8_records_wreath_types_mismatch(monkeypatch):
     r = acceptance.criterion_8_wreath()
     assert not r.passed
     assert "wreath_types" in r.detail
+
+
+def test_criterion_that_raises_is_a_fail_line(monkeypatch, capsys):
+    # a family that fails verification makes the verifier raise; the
+    # criterion reports that as an unexpected FAIL and repro still finishes
+    build = acceptance.build_x_family
+
+    def drop_one_member(n):
+        xf = build(n)
+        return dataclasses.replace(xf, members=xf.members[1:]) if n == 40 else xf
+
+    monkeypatch.setattr(acceptance, "build_x_family", drop_one_member)
+    r = acceptance.criterion_2()
+    assert not r.passed and not r.expected_failure
+    assert "ConstructionError" in r.detail
+    assert main(["repro", "--only", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert "criterion 2 [family construction sweep]: FAIL" in out
+    assert "UNEXPECTED FAILURES" in out
+    assert "Traceback" not in out + err
 
 
 def test_criterion_8_partial_sums():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from migsets import cli
+from migsets.acceptance import CriterionResult
 from migsets.cli import main
 from migsets.constructions import build_x_family
 
@@ -536,6 +537,23 @@ def test_repro_documented_failure_accepted(capsys):
     assert len(data) == 1
     assert data[0]["passed"] is False
     assert data[0]["expected_failure"] is True
+
+
+def test_repro_json_rows(monkeypatch, capsys):
+    # every CriterionResult field in declaration order, runtime to 2 places
+    result = CriterionResult(9, "probe", True, False, 1.23456, "detail")
+    monkeypatch.setattr(cli, "run_acceptance", lambda numbers: [result])
+    assert main(["repro", "--json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert list(row) == ["number", "name", "passed", "expected_failure", "runtime", "detail"]
+    assert row == {
+        "number": 9,
+        "name": "probe",
+        "passed": True,
+        "expected_failure": False,
+        "runtime": 1.23,
+        "detail": "detail",
+    }
 
 
 def test_repro_summary_file(tmp_path, capsys):

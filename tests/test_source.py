@@ -187,3 +187,70 @@ def test_parsed_and_lemma_partitions_are_built_from_runs(monkeypatch):
     for p in (parsed, lemma):
         assert p.multiplicities() is p._runs
         assert partial_sums(p).bits >> p.n == 1
+
+
+def _top_level_functions(module):
+    tree = ast.parse((ROOT / "src" / "migsets" / module).read_text())
+    return [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+
+
+def test_primitive_tables_stay_deleted():
+    # a primitive record's kind comes from its label and its cycle types
+    # ride on the record, so no module keeps a table beside the records
+    found = []
+    for path in sorted((ROOT / "src" / "migsets").glob("*.py")):
+        found += [
+            f"{path.name}:{node.lineno} {node.id}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Name) and node.id in ("_PRIMITIVE_KIND", "_PRIMITIVE_TYPES")
+        ]
+    assert not found, found
+
+
+def test_one_criterion_runner():
+    # each criterion returns (passed, expected_failure, detail); only the
+    # decorator times it and builds the CriterionResult
+    builders = {
+        fn.name
+        for fn in _top_level_functions("acceptance.py")
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CriterionResult"
+    }
+    assert builders == {"_criterion"}
+
+
+def test_one_cli_error_exit():
+    # `main` turns a library error into "error: ..." and exit 2; only
+    # `verify` keeps its own prefixes for a family file it cannot use
+    errors = {
+        "ConstructionError", "PartitionError", "PartitionTooLarge", "SearchError",
+        "OracleError", "BoundsError", "PermError",
+    }
+    catchers = {
+        fn.name
+        for fn in _top_level_functions("cli.py")
+        for node in ast.walk(fn)
+        if isinstance(node, ast.ExceptHandler)
+        and node.type is not None
+        and errors & {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+    }
+    assert catchers == {"main", "_cmd_verify"}
+
+
+def test_one_bisection_in_bounds():
+    # `_solve` is the one bisection; the counts only loop over d and k
+    funcs = {fn.name: fn for fn in _top_level_functions("bounds.py")}
+    found = []
+    for name in ("count_projective", "count_binomial"):
+        fn = funcs[name]
+        calls = {getattr(n.func, "id", None) for n in ast.walk(fn) if isinstance(n, ast.Call)}
+        if "_solve" not in calls:
+            found.append(f"{name} does not call _solve")
+        found += [
+            f"{name}:{inner.lineno} while inside a while"
+            for outer in ast.walk(fn)
+            if isinstance(outer, ast.While)
+            for inner in ast.walk(outer)
+            if isinstance(inner, ast.While) and inner is not outer
+        ]
+    assert not found, found

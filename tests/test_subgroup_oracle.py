@@ -87,6 +87,32 @@ def test_primitive_orders_frozen():
         assert [(r.label, r.expected_order) for r in prim] == [(label, order)]
 
 
+def test_primitive_records_carry_kind_and_cycle_types():
+    # the kind is read off the label, and the cycle types ride on the record
+    # without entering its identity: a loaded record equals and hashes like
+    # the bare one parsed from the data file
+    kinds = {
+        5: ("AGL(1,5)", "affine"),
+        6: ("PGL(2,5)", "almost_simple"),
+        7: ("AGL(1,7)", "affine"),
+        8: ("PGL(2,7)", "almost_simple"),
+        9: ("AGL(2,3)", "affine"),
+        10: ("PGammaL(2,9)", "almost_simple"),
+        11: ("AGL(1,11)", "affine"),
+        12: ("PGL(2,11)", "almost_simple"),
+    }
+    bare = subgroup_oracle._load_primitive_records()
+    for n, pair in kinds.items():
+        records = maximal_subgroups(n)
+        prim = records[len(records) - len(bare[n]) :]
+        assert [(r.label, r.kind) for r in prim] == [pair]
+        for rec, original in zip(prim, bare[n], strict=True):
+            assert rec.cycle_types == rec.group().cycle_types()
+            assert original.cycle_types is None
+            assert rec == original and hash(rec) == hash(original)
+        assert all(r.cycle_types is None for r in records[: -len(prim)])
+
+
 # ---------------------------------------------------------------------------
 # class membership per kind, against direct enumeration
 
