@@ -32,8 +32,8 @@ from .constructions import (
     verify_mig_lower_bound,
     verify_x_family,
 )
-from .family_search import SearchError, _min_bit, max_family
-from .partitions import Partition, PartitionError
+from .family_search import MAX_FAMILY_DEGREE, SearchError, _min_bit, max_family
+from .partitions import DEFAULT_ENUMERATION_CAP, Partition, PartitionError
 from .subgroup_oracle import (
     MAX_DEGREE,
     MIN_DEGREE,
@@ -341,7 +341,12 @@ def _build_parser():
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("search", help="exhaustive search for the largest family")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument(
+        "--n",
+        type=int,
+        required=True,
+        help=f"5..{MAX_FAMILY_DEGREE}, or 5..{DEFAULT_ENUMERATION_CAP} with --descriptors",
+    )
     p.add_argument("--json", action="store_true")
     p.add_argument(
         "--descriptors",

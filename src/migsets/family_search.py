@@ -32,8 +32,22 @@ each column of B, in bit order, the lowest group index whose vector fits
 (groups ordered by popcount then value), one representative per group, so
 results are deterministic.  `max_family` then checks property (1) on that
 pick and raises `SearchError` if its AND over the universe is not 0; the
-first pick has had an empty AND at every degree 5..40, so no search over
+first pick has had an empty AND at every degree 5..80, so no search over
 other picks is kept.  The descriptor search has no property (1).
+
+`max_family` only needs one partition per mask, and there are far fewer
+masks than partitions: 2,273 among 37,338 at n=40, 130,631 among about
+15.8 million at n=80.  `mask_groups(n)` finds them by a DFS over the parts
+of a partition, largest first.  The state -- the sum left, the largest part
+allowed, and the partial sums so far within [0, n/2] -- fixes every mask
+below it, so each state is expanded once.  Children are tried in increasing
+part order, so the first partition to reach a mask is the lexicographically
+smallest one with it: the representative `enumerate_masks` lists first.
+This runs the search to degree 80 (`MAX_FAMILY_DEGREE`).  `enumerate_masks`
+still groups every partition, to degree 40: `iter_families` and
+`max_family_bruteforce` take all representatives of a mask, and the
+descriptor search's wreath bits depend on the whole partition, not on the
+state.
 
 The descriptor search, `subgroup_oracle.max_family_intransitive_imprimitive`,
 runs `_search` on the vectors of the intransitive and imprimitive maximal
@@ -52,11 +66,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .partitions import DEFAULT_ENUMERATION_CAP, enumerate_partitions, partial_sums
+from .partitions import (
+    DEFAULT_ENUMERATION_CAP,
+    _unchecked,
+    enumerate_partitions,
+    partial_sums,
+)
 
 
 # The include/exclude oracle doubles its work per mask; refuse past this.
 BRUTEFORCE_LIMIT = 14
+
+# `max_family` on the mask-state DP: 757k states and 131k masks at n=80.
+MAX_FAMILY_DEGREE = 80
 
 
 class SearchError(ValueError):
@@ -65,8 +87,10 @@ class SearchError(ValueError):
 
 @dataclass(frozen=True)
 class MaskGroup:
-    """All partitions of n sharing one bit vector: the restricted partial-sum
-    mask, or in the descriptor search the descriptors a class meets."""
+    """Partitions of n sharing one bit vector: the restricted partial-sum
+    mask, or in the descriptor search the descriptors a class meets.  From
+    `enumerate_masks` and `_group` a group holds every such partition, from
+    `mask_groups` only the lexicographically smallest."""
 
     bits: int  # bit i set iff i is a partial sum, 1 <= i <= n//2 (masks)
     representatives: tuple
@@ -89,13 +113,16 @@ def _universe(n):
     return (1 << (n // 2 + 1)) - 2  # bits 1..n//2
 
 
-def _check_degree(n, *, low):
+def _check_degree(n, *, low, high, what):
     if n < low:
         raise SearchError(f"need n >= {low}, got {n}")
-    if n > DEFAULT_ENUMERATION_CAP:
-        raise SearchError(
-            f"full partition enumeration capped at n={DEFAULT_ENUMERATION_CAP}, got {n}"
-        )
+    if n > high:
+        raise SearchError(f"{what} capped at n={high}, got {n}")
+
+
+def _by_popcount(items):
+    """(bits, value) pairs ordered by popcount, then bits."""
+    return sorted(items, key=lambda kv: (kv[0].bit_count(), kv[0]))
 
 
 def _group(n, vector):
@@ -106,15 +133,57 @@ def _group(n, vector):
         groups.setdefault(vector(p), []).append(p)
     return [
         MaskGroup(bits=bits, representatives=tuple(reversed(ps)))
-        for bits, ps in sorted(groups.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
+        for bits, ps in _by_popcount(groups.items())
     ]
 
 
 def enumerate_masks(n):
     """All partitions of n grouped by restricted mask (ordered as `_group`)."""
-    _check_degree(n, low=2)
+    what = "full partition enumeration"
+    _check_degree(n, low=2, high=DEFAULT_ENUMERATION_CAP, what=what)
     half = _universe(n)
     return _group(n, lambda p: partial_sums(p).bits & half)
+
+
+def mask_groups(n):
+    """The groups of `enumerate_masks(n)`, each holding only its first
+    representative, the lexicographically smallest partition with its mask;
+    by a DFS over mask states, so n may go to `MAX_FAMILY_DEGREE`."""
+    _check_degree(n, low=2, high=MAX_FAMILY_DEGREE, what="the mask-state DP")
+    universe = _universe(n)
+    kept = universe | 1  # sums 0..n//2: the rest never matter
+    width = n.bit_length()
+    first = {}  # restricted mask -> parts of the first partition reaching it
+    seen = set()  # states expanded, one int each: (sums, left, top)
+    parts = []
+
+    def rec(left, top, sums):
+        # parts so far sum to n - left with partial sums `sums`; add a part
+        # a <= top, smallest first
+        for a in range(1, top + 1):
+            rest = left - a
+            s = (sums | sums << a) & kept
+            t = a if a < rest else rest
+            if t <= 1:  # done, or only ones follow: each adds every sum + 1
+                for _ in range(rest):
+                    s |= s << 1
+                mask = s & universe
+                if mask not in first:
+                    first[mask] = (*parts, a, *(1,) * rest)
+                continue
+            key = (s << width | rest) << width | t
+            if key in seen:
+                continue
+            seen.add(key)
+            parts.append(a)
+            rec(rest, t, s)
+            parts.pop()
+
+    rec(n, n, 1)
+    return [
+        MaskGroup(bits=bits, representatives=(_unchecked(ps, n),))
+        for bits, ps in _by_popcount(first.items())
+    ]
 
 
 def _min_bit(x):
@@ -157,11 +226,12 @@ def _witness_map(members, wsets):
 def _search(n, groups, universe, *, descriptors=()):
     """Find the first largest witness set over the groups' vectors and
     report its first pick as the family, one representative per group."""
-    # has[i]: the vectors (bits of their group indices) holding column i's bit
-    has = [
-        sum(1 << k for k, g in enumerate(groups) if g.bits >> b & 1)
-        for b in _bits(universe)
-    ]
+    # has[i]: the vectors (bits of their group indices) holding column i's
+    # bit; one row of binary digits per group, last group first, so column
+    # b is every w-th digit, and building it costs no big-int arithmetic
+    w = universe.bit_length()
+    rows = "".join([format(g.bits & universe, f"0{w}b") for g in reversed(groups)])
+    has = [int(rows[w - 1 - b :: w] or "0", 2) for b in _bits(universe)]
     best = []
     nodes = cuts = 0
 
@@ -203,9 +273,9 @@ def max_family(n):
     """Exact maximum family size, with the first pick of the first largest
     witness set and its witness assignment; SearchError if that pick shares
     a partial sum."""
-    _check_degree(n, low=5)
+    _check_degree(n, low=5, high=MAX_FAMILY_DEGREE, what="the mask search")
     universe = _universe(n)
-    r = _search(n, enumerate_masks(n), universe)
+    r = _search(n, mask_groups(n), universe)
     common, _ = witness_sets(r.masks, universe)
     if common:
         raise SearchError(

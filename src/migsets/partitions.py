@@ -188,6 +188,18 @@ _set_text = Partition._text.__set__
 _set_runs = Partition._runs.__set__
 
 
+def _unchecked(parts, n):
+    """A Partition of n from a non-increasing tuple of positive ints, made
+    without __init__'s checks and sort; the caller vouches for the parts."""
+    p = object.__new__(Partition)
+    _set_parts(p, parts)
+    _set_n(p, n)
+    _set_mask(p, None)
+    _set_text(p, None)
+    _set_runs(p, None)
+    return p
+
+
 def enumerate_partitions(n: int):
     """Yield all partitions of n, parts descending, in reverse-lexicographic
     order: (n) first, (1^n) last.  The order is part of the contract; the
@@ -203,7 +215,8 @@ def enumerate_partitions(n: int):
     # Each step lowers the last part x > 1 by one and refills the tail with
     # copies of x - 1 and a remainder: the next partition in this order.
     # The parts are positive and non-increasing by construction, so each
-    # Partition is made without __init__'s checks and sort.
+    # Partition is made without __init__'s checks and sort, as `_unchecked`
+    # does; inlined here, where a call per partition costs 5-10%.
     parts = [n]
     while True:
         p = object.__new__(Partition)

@@ -40,6 +40,7 @@ from operator import and_
 
 from .family_search import _check_degree, _group, _search, witness_sets
 from .partitions import (
+    DEFAULT_ENUMERATION_CAP,
     Partition,
     _divisors,
     is_partial_sum,
@@ -229,7 +230,8 @@ def max_family_intransitive_imprimitive(n):
     """Largest family of classes each privately avoiding one intransitive or
     imprimitive maximal subgroup while meeting all the others' (the analogue
     of `family_search.max_family` without the empty-intersection demand)."""
-    _check_degree(n, low=5)
+    what = "the descriptor search (full partition enumeration)"
+    _check_degree(n, low=5, high=DEFAULT_ENUMERATION_CAP, what=what)
     records = structural_records(n)
     full = (1 << len(records)) - 1
     descriptors = tuple((rec.kind, *rec.param) for rec in records)

@@ -319,6 +319,40 @@ def test_search_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_search_runs_past_partition_enumeration(capsys):
+    # the mask search runs on the mask-state DP, so n=41 is in range
+    assert main(["search", "--n", "41", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["t_max"] == 18
+    assert len(data["witnesses"]) == 18
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "81"], "the mask search capped at n=80, got 81"),
+        (
+            ["--n", "41", "--descriptors"],
+            "the descriptor search (full partition enumeration) capped at n=40, got 41",
+        ),
+    ],
+)
+def test_search_refuses_degree_before_work(argv, message, capsys, monkeypatch):
+    # each search names its own cap, and neither builds a vector first
+    from migsets import family_search, subgroup_oracle
+
+    def refuse(*args):
+        raise AssertionError("vectors built")
+
+    monkeypatch.setattr(family_search, "mask_groups", refuse)
+    monkeypatch.setattr(subgroup_oracle, "structural_records", refuse)
+    monkeypatch.setattr(subgroup_oracle, "_group", refuse)
+    assert main(["search", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_bounds_single_row(capsys):
     assert main(["bounds", "--from", "22"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -9,14 +9,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from migsets import family_search, subgroup_oracle
+from migsets.constructions import build_x_family
 from migsets.family_search import (
+    MAX_FAMILY_DEGREE,
     MaskGroup,
     SearchError,
     _min_bit,
     _search,
+    _universe,
     _witness_map,
     enumerate_masks,
     iter_families,
+    mask_groups,
     max_family,
     max_family_bruteforce,
     witness_sets,
@@ -113,6 +117,44 @@ def test_enumerate_masks_cap():
         enumerate_masks(41)
     with pytest.raises(SearchError):
         enumerate_masks(1)
+
+
+def test_mask_groups_are_the_first_representatives():
+    # the mask-state DP finds every mask, in the same order, with the
+    # partition that full enumeration lists first
+    for n in range(2, 41):
+        groups, full = mask_groups(n), enumerate_masks(n)
+        assert [g.bits for g in groups] == [g.bits for g in full], n
+        firsts = [g.representatives[0].parts for g in full]
+        assert [g.representatives[0].parts for g in groups] == firsts, n
+        for g in groups:
+            (rep,) = g.representatives
+            assert partial_sums(rep).restricted_bits() == g.bits
+
+
+def test_max_family_on_mask_groups_matches_partition_groups():
+    # every field, node counts and prunes included
+    for n in range(5, 41):
+        assert max_family(n) == _search(n, enumerate_masks(n), _universe(n)), n
+
+
+def test_search_caps_name_their_method():
+    # the mask search runs on the DP to degree 80; the descriptor search
+    # and enumerate_masks enumerate every partition, to degree 40
+    assert MAX_FAMILY_DEGREE == 80
+    with pytest.raises(SearchError, match="^the mask-state DP capped at n=80, got 81$"):
+        mask_groups(81)
+    with pytest.raises(SearchError, match="^need n >= 2, got 1$"):
+        mask_groups(1)
+    with pytest.raises(SearchError, match="^the mask search capped at n=80, got 81$"):
+        max_family(81)
+    with pytest.raises(
+        SearchError,
+        match=r"^the descriptor search \(full partition enumeration\) capped at n=40, got 41$",
+    ):
+        max_family_intransitive_imprimitive(41)
+    with pytest.raises(SearchError, match="^full partition enumeration capped at n=40, got 41$"):
+        enumerate_masks(41)
 
 
 def test_max_family_small_frozen():
@@ -217,9 +259,10 @@ def test_pruning_does_not_change_answer():
 # exact t_max tables; the drops from 11 at n=25 to 10 at n=26 are real
 MAX_FAMILY_T = dict(
     zip(
-        range(12, 41),
+        range(12, 51),
         (4, 5, 5, 6, 6, 7, 7, 7, 8, 8, 9, 9, 10, 11, 10, 11, 12, 12, 12)
-        + (13, 13, 14, 14, 15, 15, 16, 16, 17, 17),
+        + (13, 13, 14, 14, 15, 15, 16, 16, 17, 17)
+        + (18, 18, 19, 19, 19, 20, 21, 21, 22, 22),
     )
 )
 DESCRIPTOR_T = dict(
@@ -315,7 +358,7 @@ def test_first_pick_with_common_bits_is_refused(monkeypatch):
     assert r.t_max == 2
     assert r.optimal_family == ("v0", "v1")
     assert r.witness_assignment == {"v0": 1, "v1": 2}
-    monkeypatch.setattr(family_search, "enumerate_masks", lambda n: groups)
+    monkeypatch.setattr(family_search, "mask_groups", lambda n: groups)
     with pytest.raises(SearchError, match=r"partial sums \[3\]"):
         max_family(6)
 
@@ -365,6 +408,21 @@ def test_sandwich_bounds():
     for n in range(5, 15):
         t = max_family(n).t_max
         assert n / 2 - math.log2(n) < t <= n // 2
+
+
+def test_sandwich_bounds_past_partition_enumeration():
+    # t_max for n=41..50 (frozen above, searched by the frozen-table test)
+    # against the paper's bounds and the block construction, which it
+    # beats exactly at 41, 43, 47, 49 and 50
+    beaten = []
+    for n in range(41, 51):
+        t = MAX_FAMILY_T[n]
+        assert n / 2 - math.log2(n) < t <= n / 2
+        built = len(build_x_family(n).members)
+        assert built <= t
+        if built < t:
+            beaten.append(n)
+    assert beaten == [41, 43, 47, 49, 50]
 
 
 def test_iter_families_contains_optimum_first_at_max_size():
