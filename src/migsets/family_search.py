@@ -45,13 +45,14 @@ part order, so the first partition to reach a mask is the lexicographically
 smallest one with it: the representative `enumerate_masks` lists first.
 This runs the search to degree 80 (`MAX_FAMILY_DEGREE`).  `enumerate_masks`
 still groups every partition, to degree 40: `iter_families` and
-`max_family_bruteforce` take all representatives of a mask, and the
-descriptor search's wreath bits depend on the whole partition, not on the
-state.
+`max_family_bruteforce` take all representatives of a mask.
 
 The descriptor search, `subgroup_oracle.max_family_intransitive_imprimitive`,
 runs `_search` on the vectors of the intransitive and imprimitive maximal
-subgroups each class meets.
+subgroups each class meets.  Its wreath bits depend on the whole partition,
+not on a mask state, so `vector_groups` walks the parts tuples of every
+partition, keeps the last tuple per vector (the lexicographically smallest)
+and builds one `Partition` per group, not one per partition.
 
 Both properties are read off one kernel, `witness_sets(masks, full)`: the
 AND of the masks, and per mask the bits every other mask has and it lacks.
@@ -68,8 +69,8 @@ from dataclasses import dataclass, field
 
 from .partitions import (
     DEFAULT_ENUMERATION_CAP,
+    _partition_tuples,
     _unchecked,
-    enumerate_partitions,
     partial_sums,
 )
 
@@ -89,8 +90,8 @@ class SearchError(ValueError):
 class MaskGroup:
     """Partitions of n sharing one bit vector: the restricted partial-sum
     mask, or in the descriptor search the descriptors a class meets.  From
-    `enumerate_masks` and `_group` a group holds every such partition, from
-    `mask_groups` only the lexicographically smallest."""
+    `enumerate_masks` a group holds every such partition, from `mask_groups`
+    and `vector_groups` only the lexicographically smallest."""
 
     bits: int  # bit i set iff i is a partial sum, 1 <= i <= n//2 (masks)
     representatives: tuple
@@ -125,24 +126,31 @@ def _by_popcount(items):
     return sorted(items, key=lambda kv: (kv[0].bit_count(), kv[0]))
 
 
-def _group(n, vector):
-    """All partitions of n grouped by ``vector(p)``; groups ordered by
-    popcount then vector value, representatives by parts (enumeration reversed)."""
-    groups = {}
-    for p in enumerate_partitions(n):
-        groups.setdefault(vector(p), []).append(p)
+def vector_groups(n, vector):
+    """All partitions of n grouped by ``vector(parts)``, ordered as
+    `enumerate_masks`, each group holding only its lexicographically
+    smallest partition: the last in enumeration order, so the last wins."""
+    last = {vector(parts): parts for parts in _partition_tuples(n)}
     return [
-        MaskGroup(bits=bits, representatives=tuple(reversed(ps)))
-        for bits, ps in _by_popcount(groups.items())
+        MaskGroup(bits=bits, representatives=(_unchecked(ps, n),))
+        for bits, ps in _by_popcount(last.items())
     ]
 
 
 def enumerate_masks(n):
-    """All partitions of n grouped by restricted mask (ordered as `_group`)."""
+    """All partitions of n grouped by restricted mask; groups ordered by
+    popcount then mask, representatives by parts (enumeration reversed)."""
     what = "full partition enumeration"
     _check_degree(n, low=2, high=DEFAULT_ENUMERATION_CAP, what=what)
     half = _universe(n)
-    return _group(n, lambda p: partial_sums(p).bits & half)
+    groups = {}
+    for parts in _partition_tuples(n):
+        p = _unchecked(parts, n)
+        groups.setdefault(partial_sums(p).bits & half, []).append(p)
+    return [
+        MaskGroup(bits=bits, representatives=tuple(reversed(ps)))
+        for bits, ps in _by_popcount(groups.items())
+    ]
 
 
 def mask_groups(n):

@@ -200,32 +200,15 @@ def _unchecked(parts, n):
     return p
 
 
-def enumerate_partitions(n: int):
-    """Yield all partitions of n, parts descending, in reverse-lexicographic
-    order: (n) first, (1^n) last.  The order is part of the contract; the
-    first partition carrying a given property is used as its canonical
-    representative elsewhere in the package."""
-    if n < 1:
-        raise PartitionError(f"need n >= 1, got {n}")
-    if n > DEFAULT_ENUMERATION_CAP:
-        raise PartitionTooLarge(
-            f"partition enumeration capped at {DEFAULT_ENUMERATION_CAP}, got n={n}"
-        )
-
+def _partition_tuples(n: int):
+    """Yield the parts tuples of all partitions of n in reverse-lexicographic
+    order, unchecked: the one enumeration loop, which `enumerate_partitions`
+    wraps and the searches walk without building a `Partition` each."""
     # Each step lowers the last part x > 1 by one and refills the tail with
     # copies of x - 1 and a remainder: the next partition in this order.
-    # The parts are positive and non-increasing by construction, so each
-    # Partition is made without __init__'s checks and sort, as `_unchecked`
-    # does; inlined here, where a call per partition costs 5-10%.
     parts = [n]
     while True:
-        p = object.__new__(Partition)
-        _set_parts(p, tuple(parts))
-        _set_n(p, n)
-        _set_mask(p, None)
-        _set_text(p, None)
-        _set_runs(p, None)
-        yield p
+        yield tuple(parts)
         ones = 0
         while parts and parts[-1] == 1:
             parts.pop()
@@ -237,6 +220,22 @@ def enumerate_partitions(n: int):
         parts.extend([x] * q)
         if r:
             parts.append(r)
+
+
+def enumerate_partitions(n: int):
+    """Yield all partitions of n, parts descending, in reverse-lexicographic
+    order: (n) first, (1^n) last.  The order is part of the contract; the
+    first partition carrying a given property is used as its canonical
+    representative elsewhere in the package.  The parts are positive and
+    non-increasing by construction, so each is made by `_unchecked`."""
+    if n < 1:
+        raise PartitionError(f"need n >= 1, got {n}")
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise PartitionTooLarge(
+            f"partition enumeration capped at {DEFAULT_ENUMERATION_CAP}, got n={n}"
+        )
+    for parts in _partition_tuples(n):
+        yield _unchecked(parts, n)
 
 
 @dataclass(frozen=True)
@@ -429,7 +428,7 @@ def wreath_types(a: int, b: int) -> set:
         raise PartitionTooLarge(
             f"wreath types capped at n={DEFAULT_ENUMERATION_CAP}, got {a}*{b}"
         )
-    shapes = [lam.parts for lam in enumerate_partitions(a)]
+    shapes = list(_partition_tuples(a))
     levels = [{()}] + [set() for _ in range(b)]
     for m in range(1, b + 1):
         for lam in shapes:

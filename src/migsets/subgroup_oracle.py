@@ -7,9 +7,12 @@ any n <= 40), the alternating group, and the handful of primitive groups,
 which ship as generator strings in ``data/maximal_subgroups.txt``.  Every
 record is validated against its stated order when `maximal_subgroups` loads it.
 
-Which structural records a class meets is one function per degree,
-`structural_vector(n)` (partial sums, and `wreath_types` membership for
-block stabilizers); the descriptor search runs `family_search._search` on it.
+Which structural records a class meets is one function of its parts tuple
+per degree, `structural_vector(n)`: a shift-or over the parts for the
+partial sums, and one lookup in a {parts: bits} dict built from
+`wreath_types` for the block stabilizers.  The descriptor search groups the
+partitions by it (`family_search.vector_groups`) and runs
+`family_search._search` on the groups.
 The alternating group is decided by parity and a primitive group by the
 cycle-type set its record carries (enumerated once, when `maximal_subgroups`
 loads the record, from the chain that validated it; all have order at most
@@ -38,14 +41,13 @@ from functools import lru_cache, reduce
 from importlib import resources
 from operator import and_
 
-from .family_search import _check_degree, _group, _search, witness_sets
+from .family_search import _check_degree, _search, vector_groups, witness_sets
 from .partitions import (
     DEFAULT_ENUMERATION_CAP,
     Partition,
     _divisors,
     is_partial_sum,
     parity,
-    partial_sums,
     wreath_realizable,
     wreath_types,
 )
@@ -208,20 +210,24 @@ def structural_records(n):
 
 @lru_cache(maxsize=None)
 def structural_vector(n):
-    """The function p -> bitmask of the `structural_records(n)` that the class
-    of type p meets: bit s - 1 when s is a partial sum of p, and the bit of
-    S_a wr S_b when p is in `wreath_types(a, b)`, built once per degree."""
+    """The function parts -> bitmask of the `structural_records(n)` that the
+    class of that parts tuple meets: bit s - 1 when s is a partial sum, by a
+    shift-or kept to sums 0..(n-1)//2, and the bits of the block shapes
+    whose `wreath_types` hold the tuple, one dict built once per degree."""
     records = structural_records(n)
     k = (n - 1) // 2  # records[:k] are S_s x S_{n-s} for s = 1..k
-    low = (1 << (k + 1)) - 2
-    blocks = [(i, wreath_types(*rec.param)) for i, rec in enumerate(records[k:], k)]
+    kept = (1 << (k + 1)) - 1
+    blocks = {}
+    for i, rec in enumerate(records[k:], k):
+        for parts in wreath_types(*rec.param):
+            blocks[parts] = blocks.get(parts, 0) | 1 << i
+    get = blocks.get
 
-    def vector(p):
-        vec = (partial_sums(p).bits & low) >> 1
-        for i, types in blocks:
-            if p.parts in types:
-                vec |= 1 << i
-        return vec
+    def vector(parts):
+        s = 1
+        for a in parts:
+            s |= s << a & kept
+        return s >> 1 | get(parts, 0)
 
     return vector
 
@@ -235,7 +241,8 @@ def max_family_intransitive_imprimitive(n):
     records = structural_records(n)
     full = (1 << len(records)) - 1
     descriptors = tuple((rec.kind, *rec.param) for rec in records)
-    return _search(n, _group(n, structural_vector(n)), full, descriptors=descriptors)
+    groups = vector_groups(n, structural_vector(n))
+    return _search(n, groups, full, descriptors=descriptors)
 
 
 @lru_cache(maxsize=None)
@@ -296,7 +303,7 @@ def _parts_mask(parts):
     # structural records come first and take their bits from their vector
     p = Partition(parts)
     records = maximal_subgroups(p.n)
-    mask = structural_vector(p.n)(p)
+    mask = structural_vector(p.n)(parts)
     for i in range(len(structural_records(p.n)), len(records)):
         if class_meets_subgroup(records[i], p):
             mask |= 1 << i

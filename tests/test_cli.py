@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -314,6 +315,20 @@ def test_search_descriptors(capsys):
     assert ["intransitive", 6] not in data["descriptors"]
 
 
+# SHA-256 of the stdout of `search --n N --descriptors --json` for
+# N = 5..30, concatenated: frozen from the search that grouped every
+# Partition object, so the parts-tuple grouping must print the same bytes
+SEARCH_DESCRIPTORS_DIGEST = "cc851fd5c922ae4c62e4f8e62e728ff4d02e6ce0210ded6dbf7c8413fc98aaf8"
+
+
+def test_search_descriptors_digest(capsys):
+    h = hashlib.sha256()
+    for n in range(5, 31):
+        assert main(["search", "--n", str(n), "--descriptors", "--json"]) == 0
+        h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == SEARCH_DESCRIPTORS_DIGEST
+
+
 def test_search_usage_error(capsys):
     assert main(["search", "--n", "4"]) == 2
     assert "error" in capsys.readouterr().err
@@ -346,7 +361,7 @@ def test_search_refuses_degree_before_work(argv, message, capsys, monkeypatch):
 
     monkeypatch.setattr(family_search, "mask_groups", refuse)
     monkeypatch.setattr(subgroup_oracle, "structural_records", refuse)
-    monkeypatch.setattr(subgroup_oracle, "_group", refuse)
+    monkeypatch.setattr(subgroup_oracle, "vector_groups", refuse)
     assert main(["search", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

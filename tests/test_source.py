@@ -254,3 +254,26 @@ def test_one_bisection_in_bounds():
             if isinstance(inner, ast.While) and inner is not outer
         ]
     assert not found, found
+
+
+def test_descriptor_path_walks_parts_tuples(monkeypatch):
+    # the descriptor vectors come from parts tuples, from the one
+    # enumeration loop: no Partition per partition, no partial-sum DP, and
+    # no second copy of the reverse-lexicographic refill step
+    from migsets import family_search, partitions, subgroup_oracle
+
+    def refuse(*args):
+        raise AssertionError("called on the descriptor path")
+
+    for module in (partitions, family_search, subgroup_oracle):
+        monkeypatch.setattr(module, "enumerate_partitions", refuse, raising=False)
+        monkeypatch.setattr(module, "partial_sums", refuse, raising=False)
+    subgroup_oracle.structural_vector.cache_clear()
+    assert subgroup_oracle.max_family_intransitive_imprimitive(16).t_max == DESCRIPTOR_T[16]
+    refills = [
+        f"{path.name}:{k}"
+        for path in sorted((ROOT / "src" / "migsets").glob("*.py"))
+        for k, line in enumerate(path.read_text().splitlines(), 1)
+        if "divmod(x + ones + 1, x)" in line
+    ]
+    assert len(refills) == 1 and refills[0].startswith("partitions.py:"), refills

@@ -23,7 +23,10 @@ from migsets.subgroup_oracle import (
     invariably_generates,
     is_mig_set,
     maximal_subgroups,
+    structural_records,
+    structural_vector,
 )
+from migsets.family_search import vector_groups
 
 
 def P(text):
@@ -296,6 +299,26 @@ def test_incidence_returns_common_and_leave_one_out_masks():
     full = (1 << 6) - 1
     mask = incidence_mask(P("6"))
     assert incidence([P("6")], 6) == (mask, [full & ~mask])
+
+
+@pytest.mark.parametrize("n", range(5, 23))
+def test_structural_vector_matches_class_meets_subgroup(n):
+    # the descriptor vectors (shift-or partial sums and one wreath-type dict
+    # lookup per parts tuple) against `class_meets_subgroup` record by record
+    # (the partial-sum DP and `wreath_realizable`), and the descriptor groups
+    # against grouping those reference vectors by hand
+    records = structural_records(n)
+    vector = structural_vector(n)
+    reference = {}
+    for p in enumerate_partitions(n):
+        want = sum(1 << i for i, rec in enumerate(records) if class_meets_subgroup(rec, p))
+        assert vector(p.parts) == want, p.text()
+        reference.setdefault(want, []).append(p.parts)
+    order = sorted(reference, key=lambda bits: (bin(bits).count("1"), bits))
+    expected = [(bits, (Partition(min(reference[bits])),)) for bits in order]
+    got = [(g.bits, g.representatives) for g in vector_groups(n, vector)]
+    assert got == expected
+    assert all(reps[0].n == n for _, reps in got)
 
 
 def test_equal_classes_share_one_cache_entry():
