@@ -22,14 +22,27 @@ the members are distinct because their restrictions to B differ.  So the
 largest family is the largest witness set (up to property (1)), and witness
 sets are closed under subsets.  The search is one DFS over increasing
 universe bits that adds a bit only when every column of the enlarged set
-still has a vector.  A node holds, as bitsets of vector indices, the
+still has a vector.  A node holds, as bitsets of vector positions, the
 vectors having every bit of B and per column of B those fitting it, so
 adding bit c is one AND per column.  The one bound cuts a branch when
 len(B) plus the bits left cannot beat the incumbent.
 
-The reported family realizes the first largest witness set B once: for
-each column of B, in bit order, the lowest group index whose vector fits
-(groups ordered by popcount then value), one representative per group, so
+Those bitsets start as wide as the number of vectors (130,631 bits at
+n=80), but below a node only its *live* vectors -- those in any of its
+bitsets -- can fit a column, and deep in a wide search a few hundred are.
+So every third level, when the live vectors are fewer than an eighth of the
+width, `_search` rebuilds the columns over the live vectors alone, in
+ascending group order, with an index list from a position back to its
+group; the lowest position of a bitset is still its lowest group, so the
+nodes and the first pick do not change.  It does so only while the width
+is at least `REINDEX_MIN_VECTORS`: narrower ANDs cost little more than the
+interpreter's overhead, and the checks would cost more than they save, so
+the mask searches to n=55 and every descriptor search never re-index.
+
+The search takes its vectors as ``(bits, parts)`` pairs, ordered by
+popcount then bits, and builds a `Partition` only for the groups of the
+reported family: it realizes the first largest witness set B once, for each
+column of B, in bit order, by the lowest group whose vector fits, so
 results are deterministic.  `max_family` then checks property (1) on that
 pick and raises `SearchError` if its AND over the universe is not 0; the
 first pick has had an empty AND at every degree 5..80, so no search over
@@ -43,6 +56,7 @@ allowed, and the partial sums so far within [0, n/2] -- fixes every mask
 below it, so each state is expanded once.  Children are tried in increasing
 part order, so the first partition to reach a mask is the lexicographically
 smallest one with it: the representative `enumerate_masks` lists first.
+A tail of ones is closed in O(log) shifts, as `partial_sums` closes a run.
 This runs the search to degree 80 (`MAX_FAMILY_DEGREE`).  `enumerate_masks`
 still groups every partition, to degree 40: `iter_families` and
 `max_family_bruteforce` take all representatives of a mask.
@@ -51,8 +65,8 @@ The descriptor search, `subgroup_oracle.max_family_intransitive_imprimitive`,
 runs `_search` on the vectors of the intransitive and imprimitive maximal
 subgroups each class meets.  Its wreath bits depend on the whole partition,
 not on a mask state, so `vector_groups` walks the parts tuples of every
-partition, keeps the last tuple per vector (the lexicographically smallest)
-and builds one `Partition` per group, not one per partition.
+partition and keeps the last tuple per vector (the lexicographically
+smallest), building no `Partition`.
 
 Both properties are read off one kernel, `witness_sets(masks, full)`: the
 AND of the masks, and per mask the bits every other mask has and it lacks.
@@ -65,11 +79,13 @@ serve as references for the search.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 
 from .partitions import (
     DEFAULT_ENUMERATION_CAP,
     _partition_tuples,
+    _shift_copies,
     _unchecked,
     partial_sums,
 )
@@ -81,6 +97,12 @@ BRUTEFORCE_LIMIT = 14
 # `max_family` on the mask-state DP: 757k states and 131k masks at n=80.
 MAX_FAMILY_DEGREE = 80
 
+# `_search` re-indexes to its live vectors when they are fewer than its
+# width over REINDEX_SHRINK and the width is at least REINDEX_MIN_VECTORS
+# (see the module docstring).
+REINDEX_MIN_VECTORS = 13_000
+REINDEX_SHRINK = 8
+
 
 class SearchError(ValueError):
     """Search preconditions violated (degree out of range, cap exceeded)."""
@@ -88,12 +110,11 @@ class SearchError(ValueError):
 
 @dataclass(frozen=True)
 class MaskGroup:
-    """Partitions of n sharing one bit vector: the restricted partial-sum
-    mask, or in the descriptor search the descriptors a class meets.  From
-    `enumerate_masks` a group holds every such partition, from `mask_groups`
-    and `vector_groups` only the lexicographically smallest."""
+    """Every partition of n with one restricted partial-sum mask, as
+    `enumerate_masks` lists them for `iter_families` and the brute-force
+    oracle."""
 
-    bits: int  # bit i set iff i is a partial sum, 1 <= i <= n//2 (masks)
+    bits: int  # bit i set iff i is a partial sum, 1 <= i <= n//2
     representatives: tuple
 
 
@@ -127,14 +148,11 @@ def _by_popcount(items):
 
 
 def vector_groups(n, vector):
-    """All partitions of n grouped by ``vector(parts)``, ordered as
-    `enumerate_masks`, each group holding only its lexicographically
-    smallest partition: the last in enumeration order, so the last wins."""
-    last = {vector(parts): parts for parts in _partition_tuples(n)}
-    return [
-        MaskGroup(bits=bits, representatives=(_unchecked(ps, n),))
-        for bits, ps in _by_popcount(last.items())
-    ]
+    """``(bits, parts)`` for each value of ``vector(parts)`` over the
+    partitions of n, ordered by popcount then bits, with the parts tuple of
+    the lexicographically smallest partition: the last in enumeration order,
+    so the last wins."""
+    return _by_popcount({vector(parts): parts for parts in _partition_tuples(n)}.items())
 
 
 def enumerate_masks(n):
@@ -154,9 +172,10 @@ def enumerate_masks(n):
 
 
 def mask_groups(n):
-    """The groups of `enumerate_masks(n)`, each holding only its first
-    representative, the lexicographically smallest partition with its mask;
-    by a DFS over mask states, so n may go to `MAX_FAMILY_DEGREE`."""
+    """``(bits, parts)`` for each group of `enumerate_masks(n)`, in its
+    order, with the parts tuple of its first representative, the
+    lexicographically smallest partition with that mask; by a DFS over mask
+    states, so n may go to `MAX_FAMILY_DEGREE`."""
     _check_degree(n, low=2, high=MAX_FAMILY_DEGREE, what="the mask-state DP")
     universe = _universe(n)
     kept = universe | 1  # sums 0..n//2: the rest never matter
@@ -173,9 +192,7 @@ def mask_groups(n):
             s = (sums | sums << a) & kept
             t = a if a < rest else rest
             if t <= 1:  # done, or only ones follow: each adds every sum + 1
-                for _ in range(rest):
-                    s |= s << 1
-                mask = s & universe
+                mask = _shift_copies(s, 1, rest) & universe
                 if mask not in first:
                     first[mask] = (*parts, a, *(1,) * rest)
                 continue
@@ -188,10 +205,7 @@ def mask_groups(n):
             parts.pop()
 
     rec(n, n, 1)
-    return [
-        MaskGroup(bits=bits, representatives=(_unchecked(ps, n),))
-        for bits, ps in _by_popcount(first.items())
-    ]
+    return _by_popcount(first.items())
 
 
 def _min_bit(x):
@@ -199,7 +213,9 @@ def _min_bit(x):
 
 
 def _bits(x):
-    return [b for b in range(x.bit_length()) if x >> b & 1]
+    """The positions of the set bits of x, ascending: one regex scan of its
+    binary digits, so a wide sparse x costs no Python step per zero bit."""
+    return [m.start() for m in re.finditer("1", format(x, "b")[::-1])]
 
 
 def witness_sets(masks, full):
@@ -232,38 +248,60 @@ def _witness_map(members, wsets):
 
 
 def _search(n, groups, universe, *, descriptors=()):
-    """Find the first largest witness set over the groups' vectors and
-    report its first pick as the family, one representative per group."""
-    # has[i]: the vectors (bits of their group indices) holding column i's
-    # bit; one row of binary digits per group, last group first, so column
-    # b is every w-th digit, and building it costs no big-int arithmetic
+    """Find the first largest witness set over the ``(bits, parts)``
+    groups' vectors and report its first pick as the family, building one
+    Partition per chosen group."""
+    # the vectors are indexed by position: position j is group index[j],
+    # and index ascends, so a bitset's lowest position is its lowest group
     w = universe.bit_length()
-    rows = "".join([format(g.bits & universe, f"0{w}b") for g in reversed(groups)])
-    has = [int(rows[w - 1 - b :: w] or "0", 2) for b in _bits(universe)]
-    best = []
+    spec = f"0{w}b"
+    rows = [format(bits & universe, spec) for bits, _ in groups]
+    cols = _bits(universe)
+    best = []  # the incumbent's fits, over the positions of best_index
+    best_index = None
     nodes = cuts = 0
 
-    def rec(fits, common, start):
-        # fits: per chosen column, the vectors fitting it; common: the
-        # vectors holding every chosen bit
-        nonlocal best, nodes, cuts
+    def columns(index):
+        # per column, the positions whose vector holds its bit, and those
+        # whose vector lacks it: the vectors' rows of binary digits joined,
+        # last first, so column b is every w-th digit, and building it
+        # costs no big-int arithmetic
+        joined = "".join([rows[k] for k in reversed(index)])
+        has = [int(joined[w - 1 - b :: w] or "0", 2) for b in cols]
+        full = (1 << len(index)) - 1
+        return index, has, [full ^ h for h in has]
+
+    def rec(chosen, fits, common, view):
+        # chosen: the chosen columns; fits: per chosen column, the vectors
+        # fitting it; common: the vectors holding every chosen bit
+        nonlocal best, best_index, nodes, cuts
         nodes += 1
+        index, has, lacks = view
         if len(fits) > len(best):
-            best = fits
-        for i in range(start, len(has)):
+            best, best_index = fits, index
+        if len(index) >= REINDEX_MIN_VECTORS and len(chosen) % 3 == 0:
+            live = common
+            for f in fits:
+                live |= f
+            if live.bit_count() * REINDEX_SHRINK < len(index):
+                # only the live vectors can fit a column below this node
+                view = index, has, lacks = columns([index[j] for j in _bits(live)])
+                full = (1 << len(index)) - 1
+                common, fits = witness_sets([has[c] for c in chosen], full)
+        for i in range(chosen[-1] + 1 if chosen else 0, len(has)):
             if len(fits) + len(has) - i <= len(best):
                 cuts += 1
                 return
             h = has[i]
-            grown = [f & h for f in fits] + [common & ~h]
+            grown = [f & h for f in fits] + [common & lacks[i]]
             if all(grown):
-                rec(grown, common & h, i + 1)
+                rec(chosen + (i,), grown, common & h, view)
 
-    rec([], (1 << len(groups)) - 1, 0)
-    # the first pick: each column's lowest vector index, listed in group order
-    idxs = sorted(_min_bit(f) for f in best)
-    members = tuple(groups[k].representatives[0] for k in idxs)
-    masks = tuple(groups[k].bits for k in idxs)
+    rec((), [], (1 << len(groups)) - 1, columns(range(len(groups))))
+    # the first pick: each column's lowest group index, listed in group order
+    idxs = sorted(best_index[_min_bit(f)] for f in best)
+    members = tuple(_unchecked(groups[k][1], n) for k in idxs)
+    masks = tuple(groups[k][0] for k in idxs)
     return SearchResult(
         n=n,
         t_max=len(members),

@@ -271,12 +271,25 @@ class PartialSumMask:
         return s == s[::-1]
 
 
+def _shift_copies(bits, a, count):
+    """The sums of ``bits`` plus 0..count copies of a: shifts by a, 2a, 4a,
+    ... and the rest, which reach every multiple 0..count of a."""
+    k = 1
+    while k <= count:
+        bits |= bits << k * a
+        count -= k
+        k <<= 1
+    if count:
+        bits |= bits << count * a
+    return bits
+
+
 def partial_sums(p: Partition) -> PartialSumMask:
     """Subset-sum DP over a bit vector; each part usable once per occurrence.
 
-    A partition that carries its runs takes c copies of a part a as shifts
-    by a, 2a, 4a, ... and the rest, which reach every multiple 0..c of a;
-    any other partition is shifted once per part."""
+    A partition that carries its runs takes each run's copies in
+    O(log count) shifts (`_shift_copies`); any other partition is shifted
+    once per part."""
     if p.n > DEFAULT_SUM_CAP:
         raise PartitionTooLarge(f"partial-sum DP capped at n={DEFAULT_SUM_CAP}, got {p.n}")
     if p._mask is not None:
@@ -288,13 +301,7 @@ def partial_sums(p: Partition) -> PartialSumMask:
             bits |= bits << a
     else:
         for a, count in runs:
-            k = 1
-            while k <= count:
-                bits |= bits << k * a
-                count -= k
-                k <<= 1
-            if count:
-                bits |= bits << count * a
+            bits = _shift_copies(bits, a, count)
     mask = PartialSumMask(p.n, bits)
     _set_mask(p, mask)
     return mask

@@ -329,6 +329,20 @@ def test_search_descriptors_digest(capsys):
     assert h.hexdigest() == SEARCH_DESCRIPTORS_DIGEST
 
 
+# SHA-256 of the stdout of `search --n N --json` for N = 5..50,
+# concatenated: frozen from the search that built a MaskGroup and a
+# Partition per mask, so no family, witness or node count may move
+SEARCH_MASK_DIGEST = "71f995885148eee8f9aa013e7a56731b19cdb9c97d72816e99933954d91992e4"
+
+
+def test_search_mask_digest(capsys):
+    h = hashlib.sha256()
+    for n in range(5, 51):
+        assert main(["search", "--n", str(n), "--json"]) == 0
+        h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == SEARCH_MASK_DIGEST
+
+
 def test_search_usage_error(capsys):
     assert main(["search", "--n", "4"]) == 2
     assert "error" in capsys.readouterr().err

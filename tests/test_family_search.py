@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +13,6 @@ from migsets import family_search, subgroup_oracle
 from migsets.constructions import build_x_family
 from migsets.family_search import (
     MAX_FAMILY_DEGREE,
-    MaskGroup,
     SearchError,
     _min_bit,
     _search,
@@ -124,18 +124,59 @@ def test_mask_groups_are_the_first_representatives():
     # partition that full enumeration lists first
     for n in range(2, 41):
         groups, full = mask_groups(n), enumerate_masks(n)
-        assert [g.bits for g in groups] == [g.bits for g in full], n
+        assert [bits for bits, _ in groups] == [g.bits for g in full], n
         firsts = [g.representatives[0].parts for g in full]
-        assert [g.representatives[0].parts for g in groups] == firsts, n
-        for g in groups:
-            (rep,) = g.representatives
-            assert partial_sums(rep).restricted_bits() == g.bits
+        assert [parts for _, parts in groups] == firsts, n
+        for bits, parts in groups:
+            assert partial_sums(Partition(parts)).restricted_bits() == bits
 
 
 def test_max_family_on_mask_groups_matches_partition_groups():
     # every field, node counts and prunes included
     for n in range(5, 41):
-        assert max_family(n) == _search(n, enumerate_masks(n), _universe(n)), n
+        firsts = [(g.bits, g.representatives[0].parts) for g in enumerate_masks(n)]
+        assert max_family(n) == _search(n, firsts, _universe(n)), n
+
+
+def _count_bits_calls(monkeypatch):
+    # `_search` lists the set bits of its universe once, and of the live
+    # vectors once per re-index, so its calls beyond one count re-indexes
+    calls = []
+    real = family_search._bits
+
+    def counted(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(family_search, "_bits", counted)
+    return calls
+
+
+def test_forced_reindex_runs_on_small_inputs(monkeypatch):
+    monkeypatch.setattr(family_search, "REINDEX_MIN_VECTORS", 0)
+    monkeypatch.setattr(family_search, "REINDEX_SHRINK", 1)
+    calls = _count_bits_calls(monkeypatch)
+    width, vectors = REINDEXED_CASE
+    _search(0, [(v, _member(k).parts) for k, v in enumerate(vectors)], (1 << width) - 1)
+    assert len(calls) >= 2
+
+
+@pytest.mark.parametrize("shrink", [8, 1])
+def test_reindex_leaves_every_field(shrink, monkeypatch):
+    # forced onto every width (and with shrink 1, wherever a vector is
+    # dead), the re-index must visit the same nodes and report the same
+    # first pick: every field, node counts and prunes included
+    plain = {n: max_family(n) for n in range(5, 41)}
+    described = {n: max_family_intransitive_imprimitive(n) for n in range(5, 26)}
+    monkeypatch.setattr(family_search, "REINDEX_MIN_VECTORS", 0)
+    monkeypatch.setattr(family_search, "REINDEX_SHRINK", shrink)
+    calls = _count_bits_calls(monkeypatch)
+    for n in range(5, 41):
+        assert max_family(n) == plain[n], n
+    for n in range(5, 26):
+        assert max_family_intransitive_imprimitive(n) == described[n], n
+    # 1,100 re-indexes with shrink 8 and 3,967 with shrink 1
+    assert len(calls) - len(plain) - len(described) >= 1000
 
 
 def test_search_caps_name_their_method():
@@ -342,11 +383,13 @@ def test_witness_map_rejects_broken_witness_sets():
         _witness_map(("a", "b"), [0b10, 0b110])
 
 
+def _member(k):
+    # hand-built group k's member: parts (k + 1,), so it names its group
+    return Partition((k + 1,))
+
+
 def _hand_built(*vectors):
-    return [
-        MaskGroup(bits=bits(*v), representatives=(f"v{k}",))
-        for k, v in enumerate(vectors)
-    ]
+    return [(bits(*v), _member(k).parts) for k, v in enumerate(vectors)]
 
 
 def test_first_pick_with_common_bits_is_refused(monkeypatch):
@@ -356,8 +399,8 @@ def test_first_pick_with_common_bits_is_refused(monkeypatch):
     groups = _hand_built((2, 3), (1, 3), (2,))
     r = _search(0, groups, bits(1, 2, 3))
     assert r.t_max == 2
-    assert r.optimal_family == ("v0", "v1")
-    assert r.witness_assignment == {"v0": 1, "v1": 2}
+    assert r.optimal_family == (_member(0), _member(1))
+    assert r.witness_assignment == {_member(0): 1, _member(1): 2}
     monkeypatch.setattr(family_search, "mask_groups", lambda n: groups)
     with pytest.raises(SearchError, match=r"partial sums \[3\]"):
         max_family(6)
@@ -368,16 +411,32 @@ def _fits(v, chosen, b):
     return v & chosen == chosen ^ (1 << b)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.integers(1, 6).flatmap(
-        lambda width: st.tuples(
-            st.just(width), st.lists(st.integers(0, (1 << width) - 1), max_size=10)
-        )
+VECTOR_CASES = st.integers(1, 6).flatmap(
+    lambda width: st.tuples(
+        st.just(width), st.lists(st.integers(0, (1 << width) - 1), max_size=10)
     )
 )
+# columns {0, 1, 2} leave 8 of these 10 vectors live: a forced re-index runs
+REINDEXED_CASE = (4, [0b0110, 0b0101, 0b0011, 0b1110, 0b1101, 0b1011, 0b0111, 0b1111, 0, 0b1000])
+
+
+@settings(max_examples=300, deadline=None)
+@given(VECTOR_CASES)
 @example((3, [0, 0b011, 0b011, 0b001, 0b110, 0b111, 0]))
 def test_search_matches_brute_force_witness_sets(case):
+    _assert_search_matches_brute_force(case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(VECTOR_CASES)
+@example(REINDEXED_CASE)
+def test_search_matches_brute_force_witness_sets_reindexed(case):
+    # the same check with the re-index forced wherever a vector is dead
+    with mock.patch.multiple(family_search, REINDEX_MIN_VECTORS=0, REINDEX_SHRINK=1):
+        _assert_search_matches_brute_force(case)
+
+
+def _assert_search_matches_brute_force(case):
     # independent of the bitset DFS: the first largest witness set is the
     # lexicographically first largest subset of columns that is one, and
     # each column of it is realized by the lowest-index vector fitting it
@@ -397,10 +456,10 @@ def test_search_matches_brute_force_witness_sets(case):
     picks = sorted(
         next(k for k, v in enumerate(vectors) if _fits(v, chosen, b)) for b in first
     )
-    groups = [MaskGroup(bits=v, representatives=(f"v{k}",)) for k, v in enumerate(vectors)]
+    groups = [(v, _member(k).parts) for k, v in enumerate(vectors)]
     r = _search(0, groups, (1 << width) - 1)
     assert r.t_max == len(first)
-    assert r.optimal_family == tuple(f"v{k}" for k in picks)
+    assert r.optimal_family == tuple(_member(k) for k in picks)
     assert r.masks == tuple(vectors[k] for k in picks)
 
 

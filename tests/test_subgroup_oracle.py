@@ -315,10 +315,10 @@ def test_structural_vector_matches_class_meets_subgroup(n):
         assert vector(p.parts) == want, p.text()
         reference.setdefault(want, []).append(p.parts)
     order = sorted(reference, key=lambda bits: (bin(bits).count("1"), bits))
-    expected = [(bits, (Partition(min(reference[bits])),)) for bits in order]
-    got = [(g.bits, g.representatives) for g in vector_groups(n, vector)]
+    expected = [(bits, min(reference[bits])) for bits in order]
+    got = vector_groups(n, vector)
     assert got == expected
-    assert all(reps[0].n == n for _, reps in got)
+    assert all(sum(parts) == n for _, parts in got)
 
 
 def test_equal_classes_share_one_cache_entry():
