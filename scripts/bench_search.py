@@ -1,17 +1,17 @@
 """Time `migsets search --n N --json` for the wide exact searches.
 
     python3 scripts/bench_search.py --label change
-    python3 scripts/bench_search.py --label parent --src ../parent/src
+    python3 scripts/bench_search.py --label parent --checkout ../parent
 
 Each N in DEGREES runs once in a fresh interpreter that imports the package
-from --src (default: ./src), one at a time.  The entry records, per N, the
-wall seconds from starting the interpreter to its exit, the child's peak
-RSS, and the t_max and nodes_explored it printed; node counts do not depend
-on the machine, so two entries with equal counts searched the same tree.
-The entry replaces any entry of the same label in --out (default
-BENCH_search.json), next to the commit of --src's checkout (with "-dirty"
-when its tree has uncommitted changes), the Python
-version, the CPU model and the CPU count.  Standard library only.
+from the `src/` of --checkout (default: .), the repository root, one at a
+time.  The entry records, per N, the wall seconds from starting the
+interpreter to its exit, the child's peak RSS, and the t_max and
+nodes_explored it printed; node counts do not depend on the machine, so two
+entries with equal counts searched the same tree.  The entry replaces any
+entry of the same label in --out (default BENCH_search.json), next to the
+commit of --checkout (with "-dirty" when its tree has uncommitted changes),
+the Python version, the CPU model and the CPU count.  Standard library only.
 """
 
 from __future__ import annotations
@@ -78,12 +78,13 @@ def run_search(src, n):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", required=True, help="name of the entry, e.g. parent or change")
-    ap.add_argument("--src", default="src", help="directory holding the migsets package")
+    ap.add_argument("--checkout", default=".", help="root of the checkout to measure")
     ap.add_argument("--out", default="BENCH_search.json")
     args = ap.parse_args(argv)
-    src = os.path.abspath(args.src)
+    checkout = os.path.abspath(args.checkout)
+    src = os.path.join(checkout, "src")
     if not os.path.isdir(os.path.join(src, "migsets")):
-        ap.error(f"no migsets package in {src}")
+        ap.error(f"no src/migsets package in {checkout}")
     results = []
     for n in DEGREES:
         row = run_search(src, n)
@@ -91,7 +92,7 @@ def main(argv=None):
         results.append(row)
     entry = {
         "label": args.label,
-        "commit": commit_of(src),
+        "commit": commit_of(checkout),
         "python": platform.python_version(),
         "cpu": cpu_model(),
         "nproc": os.cpu_count(),

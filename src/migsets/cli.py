@@ -45,6 +45,11 @@ from .subgroup_oracle import (
 
 USAGE_ERROR = 2
 
+
+class UsageError(ValueError):
+    """A command line the CLI refuses: `main` prints it and exits 2."""
+
+
 # the most degrees one `bounds` sweep computes, checked before the first row
 MAX_SWEEP_DEGREES = 10_000
 # a report trial-divides up to isqrt(n): cap degrees x isqrt(TO), checked first
@@ -67,15 +72,14 @@ def _print_checks(cert):
 
 
 def _open_output(path):
-    """The ``--output`` file opened for writing, a null context when no path
-    is given, or None after one error line when the file cannot be opened."""
+    """The ``--output`` file opened for writing, or a null context when no
+    path is given."""
     if path is None:
         return contextlib.nullcontext()
     try:
         return open(path, "w", encoding="utf-8")
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return None
+        raise UsageError(f"cannot write output: {exc}") from exc
 
 
 def _cmd_lemma(args):
@@ -92,10 +96,7 @@ def _cmd_lemma(args):
 def _cmd_construct(args):
     xf = build_x_family(args.n)
     payload = _family_payload(xf)
-    out = _open_output(args.output)
-    if out is None:
-        return USAGE_ERROR
-    with out as fh:
+    with _open_output(args.output) as fh:
         if fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
@@ -138,13 +139,11 @@ def _cmd_verify(args):
     try:
         xf = _load_family(args.family)
     except (PartitionError, ConstructionError) as exc:
-        print(f"error: malformed family: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"malformed family: {exc}") from exc
     except (OSError, ValueError, RecursionError, KeyError, TypeError) as exc:
         # ValueError: not UTF-8, not JSON, or a number of over 4300 digits;
         # RecursionError: nesting too deep for the JSON decoder
-        print(f"error: cannot read family: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"cannot read family: {exc}") from exc
     cert = verify_x_family(xf, raise_on_failure=False)
     if xf.n >= MIN_DEGREE and args.lower_bound:
         lower = verify_mig_lower_bound(xf, raise_on_failure=False)
@@ -192,15 +191,12 @@ def _cmd_bounds(args):
     lo = args.lo
     hi = args.hi if args.hi is not None else lo
     if not 5 <= lo <= hi <= MAX_BOUNDS_DEGREE:
-        print(f"error: need 5 <= FROM <= TO <= {MAX_BOUNDS_DEGREE}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"need 5 <= FROM <= TO <= {MAX_BOUNDS_DEGREE}")
     if hi - lo + 1 > MAX_SWEEP_DEGREES:
-        print(f"error: a sweep covers at most {MAX_SWEEP_DEGREES} degrees", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"a sweep covers at most {MAX_SWEEP_DEGREES} degrees")
     if (hi - lo + 1) * math.isqrt(hi) > MAX_SWEEP_WORK:
         most = MAX_SWEEP_WORK // math.isqrt(hi)
-        print(f"error: a sweep up to {hi} covers at most {most} degrees", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"a sweep up to {hi} covers at most {most} degrees")
     rows = [bound_report(n) for n in range(lo, hi + 1)]
     if args.json:
         print(json.dumps([r.as_dict() for r in rows]))
@@ -239,8 +235,7 @@ def _cmd_oracle(args):
         classes = _parse_classes(text, args.n)
         common, wsets = incidence(classes, args.n)
     except (OSError, UnicodeError) as exc:
-        print(f"error: cannot read class list: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"cannot read class list: {exc}") from exc
     # lowest bit = first record in maximal_subgroups order
     generates = common == 0
     minimal = generates and all(wsets)
@@ -283,16 +278,11 @@ def _cmd_repro(args):
     if args.only is not None:
         try:
             numbers = {int(tok) for tok in args.only.split(",")}
-        except ValueError:
-            print(f"error: bad criterion list {args.only!r}", file=sys.stderr)
-            return USAGE_ERROR
+        except ValueError as exc:
+            raise UsageError(f"bad criterion list {args.only!r}") from exc
         if not numbers & {number for number, _ in ALL_CRITERIA}:
-            print(f"error: no criteria match {args.only!r}", file=sys.stderr)
-            return USAGE_ERROR
-    out = _open_output(args.output)  # refuse a bad path before the run
-    if out is None:
-        return USAGE_ERROR
-    with out as fh:
+            raise UsageError(f"no criteria match {args.only!r}")
+    with _open_output(args.output) as fh:  # refuse a bad path before the run
         results = run_acceptance(numbers)
         ok = all(r.acceptable for r in results)
         summary = [r.line() for r in results]
@@ -392,8 +382,9 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConstructionError, PartitionError, SearchError, OracleError) as exc:
-        # input the library refuses, such as a degree outside a command's range
+    except (ConstructionError, PartitionError, SearchError, OracleError, UsageError) as exc:
+        # input the CLI or the library refuses, such as a degree outside a
+        # command's range
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

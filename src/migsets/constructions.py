@@ -29,17 +29,16 @@ from fractions import Fraction
 from .family_search import (
     _bits,
     _min_bit,
-    _universe,
     _witness_map,
     iter_families,
     max_family,
     witness_sets,
 )
 from .partitions import (
-    DEFAULT_SUM_CAP,
     Partition,
-    PartitionTooLarge,
+    _check_sum_cap,
     _divisors,
+    _universe,
     jordan_witness,
     parity,
     partial_sums,
@@ -86,11 +85,7 @@ def lemma_partition(i, n):
         raise ConstructionError(f"need i >= 1, got {i}")
     if 3 * i >= n:
         raise ConstructionError(f"need i < n/3, got i={i}, n={n}")
-    if n > DEFAULT_SUM_CAP:
-        # the gap check's partial-sum DP refuses it; fail before building
-        raise PartitionTooLarge(
-            f"partial-sum DP capped at n={DEFAULT_SUM_CAP}, got {n}"
-        )
+    _check_sum_cap(n)  # the gap check's DP refuses it; fail before building
     if n == 4 * i + 2:
         runs = [(1, i - 1), (i + 1, 3)]
         tag = "n_eq_4i_plus_2"
@@ -196,9 +191,7 @@ def build_x_family(n):
     """
     if n < 5:
         raise ConstructionError(f"families start at n=5, got {n}")
-    if n > DEFAULT_SUM_CAP:
-        # every member's partial sums are needed; refuse before building any
-        raise PartitionTooLarge(f"partial-sum DP capped at n={DEFAULT_SUM_CAP}, got {n}")
+    _check_sum_cap(n)  # every member's partial sums are needed
     if n <= MAX_DEGREE:
         return _searched_family(n)
     return _block_family(n)
@@ -339,7 +332,10 @@ def family_from_members(members, witnesses=None):
         wsets = _witness_sets(ps, n)[1]
         witnesses = {p: _min_bit(w) if w else 0 for p, w in zip(ps, wsets)}
     else:
-        witnesses = {p: witnesses[p] for p in ps}
+        try:
+            witnesses = {p: witnesses[p] for p in ps}
+        except KeyError as exc:
+            raise ConstructionError(f"member {exc.args[0]} has no witness") from None
         for w in witnesses.values():
             if not isinstance(w, int) or isinstance(w, bool):
                 raise ConstructionError(f"witnesses must be integers, got {w!r}")

@@ -87,6 +87,7 @@ from .partitions import (
     _partition_tuples,
     _shift_copies,
     _unchecked,
+    _universe,
     partial_sums,
 )
 
@@ -109,16 +110,6 @@ class SearchError(ValueError):
 
 
 @dataclass(frozen=True)
-class MaskGroup:
-    """Every partition of n with one restricted partial-sum mask, as
-    `enumerate_masks` lists them for `iter_families` and the brute-force
-    oracle."""
-
-    bits: int  # bit i set iff i is a partial sum, 1 <= i <= n//2
-    representatives: tuple
-
-
-@dataclass(frozen=True)
 class SearchResult:
     n: int
     t_max: int
@@ -129,10 +120,6 @@ class SearchResult:
     exhaustive: bool
     descriptors: tuple = ()  # set by the descriptor variant only
     prunes: dict = field(default_factory=dict)  # bound name -> times it fired
-
-
-def _universe(n):
-    return (1 << (n // 2 + 1)) - 2  # bits 1..n//2
 
 
 def _check_degree(n, *, low, high, what):
@@ -156,8 +143,10 @@ def vector_groups(n, vector):
 
 
 def enumerate_masks(n):
-    """All partitions of n grouped by restricted mask; groups ordered by
-    popcount then mask, representatives by parts (enumeration reversed)."""
+    """``(bits, representatives)`` for every restricted mask of the
+    partitions of n: bit i of bits set iff i is a partial sum, 1 <= i <=
+    n//2, and every partition with that mask, ordered by parts
+    (enumeration reversed); pairs ordered by popcount then bits."""
     what = "full partition enumeration"
     _check_degree(n, low=2, high=DEFAULT_ENUMERATION_CAP, what=what)
     half = _universe(n)
@@ -165,10 +154,7 @@ def enumerate_masks(n):
     for parts in _partition_tuples(n):
         p = _unchecked(parts, n)
         groups.setdefault(partial_sums(p).bits & half, []).append(p)
-    return [
-        MaskGroup(bits=bits, representatives=tuple(reversed(ps)))
-        for bits, ps in _by_popcount(groups.items())
-    ]
+    return [(bits, tuple(reversed(ps))) for bits, ps in _by_popcount(groups.items())]
 
 
 def mask_groups(n):
@@ -247,7 +233,7 @@ def _witness_map(members, wsets):
     return witness
 
 
-def _search(n, groups, universe, *, descriptors=()):
+def _search(n, groups, universe):
     """Find the first largest witness set over the ``(bits, parts)``
     groups' vectors and report its first pick as the family, building one
     Partition per chosen group."""
@@ -310,7 +296,6 @@ def _search(n, groups, universe, *, descriptors=()):
         masks=masks,
         nodes_explored=nodes,
         exhaustive=True,
-        descriptors=descriptors,
         prunes={"bound": cuts},
     )
 
@@ -337,9 +322,10 @@ def iter_families(n, size):
         raise SearchError("family size must be positive")
     universe = _universe(n)
     for combo in itertools.combinations(enumerate_masks(n), size):
-        common, wsets = witness_sets([g.bits for g in combo], universe)
+        masks, representatives = zip(*combo)
+        common, wsets = witness_sets(masks, universe)
         if common == 0 and all(wsets):
-            yield from itertools.product(*(g.representatives for g in combo))
+            yield from itertools.product(*representatives)
 
 
 def max_family_bruteforce(n):
@@ -349,7 +335,7 @@ def max_family_bruteforce(n):
     part of validity, not a bound."""
     if n > BRUTEFORCE_LIMIT:
         raise SearchError(f"naive oracle limited to n <= {BRUTEFORCE_LIMIT}")
-    masks = [g.bits for g in enumerate_masks(n)]
+    masks = [bits for bits, _ in enumerate_masks(n)]
     universe = _universe(n)
 
     def witnesses_ok(subset):

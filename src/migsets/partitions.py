@@ -10,14 +10,12 @@ imprimitive wreath product.
 A partition also knows its runs, the (value, count) pairs of its distinct
 parts, values descending.  The lemma partitions behind every certified
 family have a hundred or more parts but at most five distinct values, so
-the certify path works per run, not per part.  `Partition._from_runs` builds
-a partition from runs in any order and keeps them; `from_text`,
-`lemma_partition` and `power_type` build through it.  `multiplicities()`
-computes the runs of any other partition on first use and keeps them too.
-The partial-sum DP splits each run of c parts a into shifts by a, 2a, 4a,
-... and the rest (binary splitting) when the partition already carries its
-runs, and otherwise shifts once per part: for the small partitions of a
-search, computing runs would cost more than it saves.
+the partial-sum DP works per run, not per part.  `Partition._from_runs`
+builds a partition from runs in any order and keeps them; `from_text`,
+`lemma_partition` and `power_type` build through it.  Partitions built
+without runs get them from `multiplicities()` on first use, which keeps
+them too.  The DP splits each run of c parts a into shifts by a, 2a, 4a,
+... and the rest (binary splitting).
 
 All values are immutable and every function is pure.
 """
@@ -98,11 +96,7 @@ class Partition:
                     count += merged.pop()[1]
                 merged.append((value, count))
                 last = value
-        p = object.__new__(cls)
-        _set_parts(p, tuple(parts))
-        _set_n(p, n)
-        _set_mask(p, None)
-        _set_text(p, None)
+        p = _unchecked(tuple(parts), n)
         _set_runs(p, tuple(merged))
         return p
 
@@ -200,6 +194,17 @@ def _unchecked(parts, n):
     return p
 
 
+def _universe(n: int) -> int:
+    """Bits 1..floor(n/2): the window a restricted mask lives in."""
+    return (1 << (n // 2 + 1)) - 2
+
+
+def _check_sum_cap(n: int) -> None:
+    """Refuse n past the partial-sum DP's cap, before any work on it."""
+    if n > DEFAULT_SUM_CAP:
+        raise PartitionTooLarge(f"partial-sum DP capped at n={DEFAULT_SUM_CAP}, got {n}")
+
+
 def _partition_tuples(n: int):
     """Yield the parts tuples of all partitions of n in reverse-lexicographic
     order, unchecked: the one enumeration loop, which `enumerate_partitions`
@@ -260,7 +265,7 @@ class PartialSumMask:
 
     def restricted_bits(self) -> int:
         """Bits 1..floor(n/2) only; by symmetry this determines the mask."""
-        return self.bits & ((1 << (self.n // 2 + 1)) - 2)
+        return self.bits & _universe(self.n)
 
     def bitstring(self) -> str:
         """Length n+1, character i (from the left) is '1' iff i is a sum."""
@@ -287,21 +292,13 @@ def _shift_copies(bits, a, count):
 def partial_sums(p: Partition) -> PartialSumMask:
     """Subset-sum DP over a bit vector; each part usable once per occurrence.
 
-    A partition that carries its runs takes each run's copies in
-    O(log count) shifts (`_shift_copies`); any other partition is shifted
-    once per part."""
-    if p.n > DEFAULT_SUM_CAP:
-        raise PartitionTooLarge(f"partial-sum DP capped at n={DEFAULT_SUM_CAP}, got {p.n}")
+    Each run's copies take O(log count) shifts (`_shift_copies`)."""
+    _check_sum_cap(p.n)
     if p._mask is not None:
         return p._mask
     bits = 1
-    runs = p._runs
-    if runs is None:
-        for a in p.parts:
-            bits |= bits << a
-    else:
-        for a, count in runs:
-            bits = _shift_copies(bits, a, count)
+    for a, count in p.multiplicities():
+        bits = _shift_copies(bits, a, count)
     mask = PartialSumMask(p.n, bits)
     _set_mask(p, mask)
     return mask

@@ -242,7 +242,7 @@ def max_family_intransitive_imprimitive(n):
     full = (1 << len(records)) - 1
     descriptors = tuple((rec.kind, *rec.param) for rec in records)
     groups = vector_groups(n, structural_vector(n))
-    return _search(n, groups, full, descriptors=descriptors)
+    return replace(_search(n, groups, full), descriptors=descriptors)
 
 
 @lru_cache(maxsize=None)

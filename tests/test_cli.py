@@ -532,7 +532,12 @@ def test_oracle_errors(capsys):
     assert main(["oracle", "--n", "6", "--classes", "(7)"]) == 2
     assert main(["oracle", "--n", "13", "--classes", "(13)"]) == 2
     assert main(["oracle", "--n", "6", "--classes", ";;"]) == 2
+    capsys.readouterr()
     assert main(["oracle", "--n", "6", "--classes-file", "/nonexistent"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot read class list: [Errno 2] No such file or directory:"
+        " '/nonexistent'\n"
+    )
 
 
 @pytest.mark.parametrize("n", [13, 100_000_000])
@@ -632,6 +637,7 @@ def test_repro_bad_selection(capsys):
         assert main(["repro", "--only", only]) == 2
         assert "bad criterion list" in capsys.readouterr().err
     assert main(["repro", "--only", "99"]) == 2
+    assert capsys.readouterr().err == "error: no criteria match '99'\n"
 
 
 @pytest.mark.parametrize(

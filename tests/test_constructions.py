@@ -416,6 +416,9 @@ def test_family_from_members_validation():
         family_from_members([])
     with pytest.raises(ConstructionError):
         family_from_members([(3, 2), (4, 2)])
+    # a witness map that lacks a member names it, not a bare KeyError
+    with pytest.raises(ConstructionError, match=r"member 4,1 has no witness"):
+        family_from_members([[3, 2], [4, 1]], {Partition([3, 2]): 1})
 
 
 def test_family_size_beats_half_minus_log():

@@ -74,8 +74,8 @@ def bits(*values):
 
 def test_enumerate_masks_n5():
     groups = enumerate_masks(5)
-    assert [g.bits for g in groups] == [0, bits(1), bits(2), bits(1, 2)]
-    byte = {g.bits: [p.text() for p in g.representatives] for g in groups}
+    assert [mask for mask, _ in groups] == [0, bits(1), bits(2), bits(1, 2)]
+    byte = {mask: [p.text() for p in reps] for mask, reps in groups}
     assert byte[0] == ["5"]
     assert byte[bits(1)] == ["4,1"]
     assert byte[bits(2)] == ["3,2"]
@@ -83,26 +83,26 @@ def test_enumerate_masks_n5():
 
 
 def test_enumerate_masks_n2():
-    assert [g.bits for g in enumerate_masks(2)] == [0, bits(1)]
+    assert [mask for mask, _ in enumerate_masks(2)] == [0, bits(1)]
 
 
 def test_enumerate_masks_n6_has_no_two_three_mask():
     # no partition of 6 realizes sums {2,3} without 1: parts would need a 2
     # and then 6-2-3 is forced badly; the group simply does not occur
-    assert bits(2, 3) not in {g.bits for g in enumerate_masks(6)}
+    assert bits(2, 3) not in {mask for mask, _ in enumerate_masks(6)}
 
 
 def test_enumerate_masks_groups_sorted_and_complete():
     for n in range(2, 13):
         groups = enumerate_masks(n)
-        keys = [(g.bits.bit_count(), g.bits) for g in groups]
+        keys = [(mask.bit_count(), mask) for mask, _ in groups]
         assert keys == sorted(keys)
-        total = sum(len(g.representatives) for g in groups)
+        total = sum(len(reps) for _, reps in groups)
         assert total == len(list(_all_partitions(n)))
-        for g in groups:
-            for p in g.representatives:
-                assert partial_sums(p).restricted_bits() == g.bits
-            parts = [p.parts for p in g.representatives]
+        for mask, reps in groups:
+            for p in reps:
+                assert partial_sums(p).restricted_bits() == mask
+            parts = [p.parts for p in reps]
             assert parts == sorted(parts)
 
 
@@ -124,8 +124,8 @@ def test_mask_groups_are_the_first_representatives():
     # partition that full enumeration lists first
     for n in range(2, 41):
         groups, full = mask_groups(n), enumerate_masks(n)
-        assert [bits for bits, _ in groups] == [g.bits for g in full], n
-        firsts = [g.representatives[0].parts for g in full]
+        assert [bits for bits, _ in groups] == [bits for bits, _ in full], n
+        firsts = [reps[0].parts for _, reps in full]
         assert [parts for _, parts in groups] == firsts, n
         for bits, parts in groups:
             assert partial_sums(Partition(parts)).restricted_bits() == bits
@@ -134,7 +134,7 @@ def test_mask_groups_are_the_first_representatives():
 def test_max_family_on_mask_groups_matches_partition_groups():
     # every field, node counts and prunes included
     for n in range(5, 41):
-        firsts = [(g.bits, g.representatives[0].parts) for g in enumerate_masks(n)]
+        firsts = [(bits, reps[0].parts) for bits, reps in enumerate_masks(n)]
         assert max_family(n) == _search(n, firsts, _universe(n)), n
 
 
@@ -515,7 +515,7 @@ def _families_by_filter(n, size):
     universe = (1 << (n // 2 + 1)) - 2
     out = []
     for combo in itertools.combinations(enumerate_masks(n), size):
-        masks = [g.bits for g in combo]
+        masks = [mask for mask, _ in combo]
         inter = universe
         for m in masks:
             inter &= m
@@ -529,7 +529,7 @@ def _families_by_filter(n, size):
                     w &= other
             witnesses.append(w)
         if all(witnesses):
-            out.extend(itertools.product(*(g.representatives for g in combo)))
+            out.extend(itertools.product(*(reps for _, reps in combo)))
     return out
 
 
@@ -557,7 +557,7 @@ def test_match_witnesses_agrees_with_nonemptiness():
         for _ in range(40):
             size = rng.randint(2, min(4, len(groups)))
             picks = rng.sample(range(len(groups)), size)
-            masks = [groups[k].bits for k in picks]
+            masks = [groups[k][0] for k in picks]
             wsets = []
             for i, m in enumerate(masks):
                 w = universe & ~m

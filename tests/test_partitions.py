@@ -344,7 +344,8 @@ def test_text_with_split_runs_matches_parts(case):
 
 
 def test_run_dp_matches_part_dp_for_every_count():
-    # binary splitting around 2^k - 1, 2^k and 2^k + 1 copies of a part
+    # binary splitting around 2^k - 1, 2^k and 2^k + 1 copies of a part,
+    # against a plain shift per part
     for a in (1, 2, 3, 7):
         for count in range(1, 71):
             for tail in ((), ((5, 1),), ((a + 1, 3), (1, 2))):
@@ -352,7 +353,11 @@ def test_run_dp_matches_part_dp_for_every_count():
                 by_runs = Partition._from_runs(runs)
                 by_parts = Partition([v for v, c in runs for _ in range(c)])
                 assert by_runs.parts == by_parts.parts
-                assert partial_sums(by_runs).bits == partial_sums(by_parts).bits
+                per_part = 1
+                for part in by_parts.parts:
+                    per_part |= per_part << part
+                assert partial_sums(by_runs).bits == per_part
+                assert partial_sums(by_parts).bits == per_part
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -70,22 +70,30 @@ def test_search_knobs_stay_deleted():
     assert not found, found
 
 
-# helpers folded into one kernel or test, and a field nothing read
-FOLDED_FUNCTIONS = ("leave_one_out", "minimal_block_systems", "_maximal", "descriptors")
+# helpers folded into one kernel or test, a field nothing read, and the
+# mask-group class that the (bits, representatives) pairs replaced
+FOLDED_FUNCTIONS = (
+    "leave_one_out", "minimal_block_systems", "_maximal", "descriptors", "MaskGroup",
+)
 
 
 def test_folded_helpers_stay_deleted():
     # `family_search.witness_sets` is the one witness-set kernel,
     # `PermGroup.is_primitive` needs no list of block systems, and the
     # search checks columns on index bitsets, not on maximal vectors; the
-    # descriptor search witnesses by the oracle's records, not its own list
+    # descriptor search witnesses by the oracle's records, not its own list;
+    # every mask grouping is a plain (bits, ...) pair
     found = []
     for path in sorted((ROOT / "src" / "migsets").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             where = f"{path.name}:{getattr(node, 'lineno', '?')}"
-            if isinstance(node, ast.FunctionDef) and node.name in FOLDED_FUNCTIONS:
-                found.append(f"{where} def {node.name}")
-            elif isinstance(node, ast.ClassDef):
+            if (
+                isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name in FOLDED_FUNCTIONS
+            ):
+                kind = "class" if isinstance(node, ast.ClassDef) else "def"
+                found.append(f"{where} {kind} {node.name}")
+            if isinstance(node, ast.ClassDef):
                 found += [
                     f"{path.name}:{stmt.lineno} field class_count of {node.name}"
                     for stmt in node.body
@@ -189,6 +197,27 @@ def test_parsed_and_lemma_partitions_are_built_from_runs(monkeypatch):
         assert partial_sums(p).bits >> p.n == 1
 
 
+def test_one_partial_sum_dp():
+    # every partition goes through its runs, and one function holds the
+    # DP's size cap (partition text has its own cap on the parsed total)
+    fn = next(f for f in _top_level_functions("partitions.py") if f.name == "partial_sums")
+    found = [
+        f"partial_sums:{node.lineno} reads .parts"
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr == "parts"
+    ]
+    for path in sorted((ROOT / "src" / "migsets").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            found += [
+                f"{path.name}:{getattr(top, 'name', top.lineno)} cap message"
+                for node in ast.walk(top)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and "partial-sum DP capped" in node.value
+            ]
+    assert found == ["partitions.py:_check_sum_cap cap message"], found
+
+
 def _top_level_functions(module):
     tree = ast.parse((ROOT / "src" / "migsets" / module).read_text())
     return [node for node in tree.body if isinstance(node, ast.FunctionDef)]
@@ -235,6 +264,14 @@ def test_one_cli_error_exit():
         and errors & {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
     }
     assert catchers == {"main", "_cmd_verify"}
+    # and `main` is the one place that writes to stderr
+    writers = [
+        f"{fn.name}:{node.lineno}"
+        for fn in _top_level_functions("cli.py")
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr == "stderr"
+    ]
+    assert len(writers) == 1 and writers[0].startswith("main:"), writers
 
 
 def test_one_bisection_in_bounds():
