@@ -1,25 +1,29 @@
 """Record the end-to-end numbers of one checkout: its `src/` line count and
-the wall time of tier-1, `migsets repro` and the `bounds` sweep.
+the wall time and peak RSS of tier-1, `migsets repro`, the `bounds` sweep
+and the wide exact searches.
 
     python3 scripts/bench_e2e.py --label change
     python3 scripts/bench_e2e.py --label parent --checkout ../parent
 
 Each command runs RUNS = 3 times, one at a time, in a fresh interpreter
 started in --checkout (default: .), the repository root, that imports the
-package from its `src/` (as `scripts/bench_search.py --checkout` does):
+package from its `src/`:
 
-- tier-1: ``python -m pytest -q --continue-on-collection-errors``;
+- tier1: ``python -m pytest -q --continue-on-collection-errors``;
 - repro: ``migsets repro``;
-- bounds: ``migsets bounds --from 5 --to 10000``.
+- bounds: ``migsets bounds --from 5 --to 10000``;
+- search60, search70, search80: ``migsets search --n N --json``.
 
 The entry records, per command, the wall seconds of every run and their
-median, the exit code, and what the output says about the result: pytest's
-summary line for tier-1 and the SHA-256 of the TSV for bounds, so two
-entries can be seen to have done the same work.  It also records the line
-count of `src/migsets/*.py`, the commit of the checkout (with "-dirty" when
-its tree has uncommitted changes), the Python version, the CPU model and the
-CPU count, and replaces any entry of the same label in --out (default
-BENCH_e2e.json).  Standard library only.
+median, the largest peak RSS of a run (from `os.wait4`, so of that child
+alone), the exit code, and what the output says about the result: pytest's
+summary line for tier-1, the SHA-256 of the TSV for bounds, and
+``t_max=T nodes=N`` for a search.  Node counts and the rest do not depend
+on the machine, so two entries can be seen to have done the same work.  It
+also records the line count of `src/migsets/*.py`, the commit of the
+checkout (with "-dirty" when its tree has uncommitted changes), the Python
+version, the CPU model and the CPU count, and replaces any entry of the
+same label in --out (default BENCH_e2e.json).  Standard library only.
 """
 
 from __future__ import annotations
@@ -34,14 +38,38 @@ import subprocess
 import sys
 import time
 
-from bench_search import CLI, commit_of, cpu_model
-
+CLI = "import sys; from migsets.cli import main; sys.exit(main(sys.argv[1:]))"
 COMMANDS = {
     "tier1": ["-m", "pytest", "-q", "--continue-on-collection-errors"],
     "repro": ["-c", CLI, "repro"],
     "bounds": ["-c", CLI, "bounds", "--from", "5", "--to", "10000"],
+    **{f"search{n}": ["-c", CLI, "search", "--n", str(n), "--json"] for n in (60, 70, 80)},
 }
 RUNS = 3
+
+
+def cpu_model():
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def commit_of(path):
+    try:
+        out = subprocess.run(
+            ["git", "-C", path, "describe", "--always", "--dirty"],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return out.stdout.strip()
 
 
 def src_lines(checkout):
@@ -54,32 +82,45 @@ def src_lines(checkout):
     return total
 
 
+def outcome_of(name, out):
+    """What a command's stdout says about the work it did."""
+    if name == "bounds":
+        return "sha256:" + hashlib.sha256(out).hexdigest()
+    if name.startswith("search"):
+        data = json.loads(out or "{}")
+        return f"t_max={data.get('t_max')} nodes={data.get('nodes_explored')}"
+    lines = out.decode("utf-8", "replace").strip().splitlines()
+    last = lines[-1] if lines else ""
+    if name == "tier1":  # drop the seconds from "389 passed, ... in 24.95s"
+        last = last.rsplit(" in ", 1)[0]
+    return last
+
+
 def run_once(checkout, name):
     env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src")}
     start = time.perf_counter()
-    child = subprocess.run(
+    child = subprocess.Popen(
         [sys.executable, *COMMANDS[name]],
         cwd=checkout,
         env=env,
-        capture_output=True,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
     )
+    out = child.stdout.read()
+    child.stdout.close()
+    # wait4 reports this child's own peak RSS (KiB on Linux)
+    _, status, usage = os.wait4(child.pid, 0)
     wall = time.perf_counter() - start
-    out = child.stdout.decode("utf-8", "replace")
-    if name == "bounds":
-        outcome = "sha256:" + hashlib.sha256(child.stdout).hexdigest()
-    else:
-        lines = out.strip().splitlines()
-        outcome = lines[-1] if lines else ""
-        if name == "tier1":  # drop the seconds from "389 passed, ... in 24.95s"
-            outcome = outcome.rsplit(" in ", 1)[0]
-    return wall, child.returncode, outcome
+    child.returncode = os.waitstatus_to_exitcode(status)
+    return wall, usage.ru_maxrss / 1024, child.returncode, outcome_of(name, out)
 
 
 def measure(checkout, name):
-    walls, codes, outcomes = [], set(), set()
+    walls, rss, codes, outcomes = [], [], set(), set()
     for _ in range(RUNS):
-        wall, code, outcome = run_once(checkout, name)
+        wall, peak, code, outcome = run_once(checkout, name)
         walls.append(round(wall, 2))
+        rss.append(peak)
         codes.add(code)
         outcomes.add(outcome)
     if len(codes) != 1 or len(outcomes) != 1:
@@ -87,6 +128,7 @@ def measure(checkout, name):
     return {
         "wall_s": walls,
         "median_s": round(statistics.median(walls), 2),
+        "peak_rss_mb": round(max(rss), 1),
         "exit_code": codes.pop(),
         "outcome": outcomes.pop(),
     }

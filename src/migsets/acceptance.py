@@ -2,12 +2,12 @@
 check, one result line per criterion.
 
 Each check returns ``(passed, expected_failure, detail)``; the one runner,
-the `_criterion` decorator, times it and builds its CriterionResult, so the
-CLI can print a full report.  A check that raises a package error (any
-`ValueError`) becomes a FAIL line naming the exception, and the remaining
-criteria still run.  Two checks fail by design, faithfully reproducing
-source-material claims our own enumerations contradict; they are marked
-expected_failure and documented in the README:
+the `_criterion` decorator, lists it in ALL_CRITERIA, times it and builds
+its CriterionResult, so the CLI can print a full report.  A check that
+raises a package error (any `ValueError`) becomes a FAIL line naming the
+exception, and the remaining criteria still run.  Two checks fail by
+design, faithfully reproducing source-material claims our own enumerations
+contradict; they are marked expected_failure and documented in the README:
 
   * criterion 4 at n = 6: no family of cycle types of S_6 satisfying the
     partial-sum properties is a minimal invariable generating set (the
@@ -76,11 +76,15 @@ FAMILY_SWEEP_BUDGET = 120.0
 SUM_SAMPLES = 10_000
 SUM_SEED = 2024
 
+# (number, criterion) pairs in definition order, filled by `_criterion`
+ALL_CRITERIA = []
+
 
 def _criterion(number, name):
     """Make a check returning ``(passed, expected_failure, detail)`` into
-    criterion `number`: it is timed, and a package error it raises gives a
-    FAIL line naming the error instead of ending the run."""
+    criterion `number` and list it in ALL_CRITERIA: it is timed, and a
+    package error it raises gives a FAIL line naming the error instead of
+    ending the run."""
 
     def wrap(check):
         @functools.wraps(check)  # perfbench keys its spans on the name
@@ -93,6 +97,7 @@ def _criterion(number, name):
                 detail = f"raised {type(exc).__name__}: {exc}"
             return CriterionResult(number, name, passed, expected, time.time() - start, detail)
 
+        ALL_CRITERIA.append((number, timed))
         return timed
 
     return wrap
@@ -278,20 +283,6 @@ def criterion_8_sums():
         if claimed != expected:
             mismatches += 1
     return mismatches == 0, False, f"{SUM_SAMPLES} random partitions, {mismatches} mismatches"
-
-
-ALL_CRITERIA = (
-    (1, criterion_1),
-    (2, criterion_2),
-    (3, criterion_3),
-    (4, criterion_4),
-    (5, criterion_5),
-    (6, criterion_6_components),
-    (6, criterion_6_corollary),
-    (7, criterion_7),
-    (8, criterion_8_wreath),
-    (8, criterion_8_sums),
-)
 
 
 def run(numbers=None):

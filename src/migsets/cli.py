@@ -114,7 +114,11 @@ def _cmd_construct(args):
 def _load_family(path):
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, dict) or not isinstance(data.get("witnesses", {}), dict):
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("members"), list)
+        and isinstance(data.get("witnesses", {}), dict)
+    ):
         raise TypeError("expected an object with a member list and a witness map")
     texts = data["members"]
     members = [Partition.from_text(t) for t in texts]
@@ -128,7 +132,7 @@ def _load_family(path):
             for t, w in data["witnesses"].items()
         }
         if set(witnesses) != set(members):
-            raise KeyError("witness keys do not match the member list")
+            raise ConstructionError("witness keys do not match the member list")
     xf = family_from_members(members, witnesses)
     if data.get("n", xf.n) != xf.n:
         raise ConstructionError(f"n is {data['n']!r} but the members partition {xf.n}")
@@ -140,7 +144,7 @@ def _cmd_verify(args):
         xf = _load_family(args.family)
     except (PartitionError, ConstructionError) as exc:
         raise UsageError(f"malformed family: {exc}") from exc
-    except (OSError, ValueError, RecursionError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, RecursionError, TypeError) as exc:
         # ValueError: not UTF-8, not JSON, or a number of over 4300 digits;
         # RecursionError: nesting too deep for the JSON decoder
         raise UsageError(f"cannot read family: {exc}") from exc

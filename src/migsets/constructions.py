@@ -146,19 +146,19 @@ class XFamily:
     """A family X with its witness table and construction bookkeeping.
 
     alpha/tvals/m/z describe the block structure used for n >= 13 (z is the
-    long-cycle tail class); for the searched degrees n <= 12 they are empty
-    and repair_case is "small_n".  Families rebuilt from serialized
-    members get repair_case "imported" and empty bookkeeping too.
+    long-cycle tail class); for the searched degrees n <= 12 they keep their
+    empty defaults and repair_case is "small_n".  Families rebuilt from
+    serialized members get repair_case "imported" and empty bookkeeping too.
     """
 
     n: int
     members: tuple
     witnesses: dict  # member -> witness integer
-    alpha: tuple
-    tvals: tuple  # Fractions, block upper boundaries
-    m: int
     repair_case: str  # small_n | case1_z_added | case2_rebuilt | imported
-    z: Partition | None
+    alpha: tuple = ()
+    tvals: tuple = ()  # Fractions, block upper boundaries
+    m: int = 0
+    z: Partition | None = None
 
 
 def _witness_sets(members, n):
@@ -212,11 +212,7 @@ def _searched_family(n):
         n=n,
         members=members,
         witnesses=_witness_map(members, _witness_sets(members, n)[1]),
-        alpha=(),
-        tvals=(),
-        m=0,
         repair_case="small_n",
-        z=None,
     )
 
 
@@ -339,16 +335,7 @@ def family_from_members(members, witnesses=None):
         for w in witnesses.values():
             if not isinstance(w, int) or isinstance(w, bool):
                 raise ConstructionError(f"witnesses must be integers, got {w!r}")
-    return XFamily(
-        n=n,
-        members=ps,
-        witnesses=witnesses,
-        alpha=(),
-        tvals=(),
-        m=0,
-        repair_case="imported",
-        z=None,
-    )
+    return XFamily(n=n, members=ps, witnesses=witnesses, repair_case="imported")
 
 
 def _check(ok, detail):

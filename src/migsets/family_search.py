@@ -84,11 +84,11 @@ from dataclasses import dataclass, field
 
 from .partitions import (
     DEFAULT_ENUMERATION_CAP,
+    _kept_sums,
     _partition_tuples,
     _shift_copies,
     _unchecked,
     _universe,
-    partial_sums,
 )
 
 
@@ -152,9 +152,11 @@ def enumerate_masks(n):
     half = _universe(n)
     groups = {}
     for parts in _partition_tuples(n):
-        p = _unchecked(parts, n)
-        groups.setdefault(partial_sums(p).bits & half, []).append(p)
-    return [(bits, tuple(reversed(ps))) for bits, ps in _by_popcount(groups.items())]
+        groups.setdefault(_kept_sums(parts, half | 1) & half, []).append(parts)
+    return [
+        (bits, tuple(_unchecked(parts, n) for parts in reversed(ps)))
+        for bits, ps in _by_popcount(groups.items())
+    ]
 
 
 def mask_groups(n):

@@ -289,6 +289,16 @@ def _shift_copies(bits, a, count):
     return bits
 
 
+def _kept_sums(parts, kept):
+    """The partial sums of a parts tuple within the bits of ``kept``, a
+    window 0..k: one shift-or per part, for the searches, which walk parts
+    tuples without building a `Partition`."""
+    s = 1
+    for a in parts:
+        s |= s << a & kept
+    return s
+
+
 def partial_sums(p: Partition) -> PartialSumMask:
     """Subset-sum DP over a bit vector; each part usable once per occurrence.
 

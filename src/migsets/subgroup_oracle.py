@@ -9,7 +9,7 @@ record is validated against its stated order when `maximal_subgroups` loads it.
 
 Which structural records a class meets is one function of its parts tuple
 per degree, `structural_vector(n)`: a shift-or over the parts for the
-partial sums, and one lookup in a {parts: bits} dict built from
+partial sums (`partitions._kept_sums`), and one lookup in a {parts: bits} dict built from
 `wreath_types` for the block stabilizers.  The descriptor search groups the
 partitions by it (`family_search.vector_groups`) and runs
 `family_search._search` on the groups.
@@ -46,6 +46,7 @@ from .partitions import (
     DEFAULT_ENUMERATION_CAP,
     Partition,
     _divisors,
+    _kept_sums,
     is_partial_sum,
     parity,
     wreath_realizable,
@@ -224,10 +225,7 @@ def structural_vector(n):
     get = blocks.get
 
     def vector(parts):
-        s = 1
-        for a in parts:
-            s |= s << a & kept
-        return s >> 1 | get(parts, 0)
+        return _kept_sums(parts, kept) >> 1 | get(parts, 0)
 
     return vector
 

@@ -160,6 +160,8 @@ def test_criterion_8_partial_sums():
 
 
 def test_run_selection():
+    # each criterion registers itself, once, in definition order
+    assert [n for n, _ in acceptance.ALL_CRITERIA] == [1, 2, 3, 4, 5, 6, 6, 7, 8, 8]
     results = acceptance.run(numbers={5})
     assert len(results) == 1
     assert results[0].number == 5

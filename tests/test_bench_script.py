@@ -1,0 +1,63 @@
+"""The one bench script, `scripts/bench_e2e.py`, run on two cheap commands."""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+from migsets.family_search import max_family
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "bench_e2e.py"
+
+
+def _load_bench():
+    spec = importlib.util.spec_from_file_location("bench_e2e", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_scripts_hold_one_bench_script():
+    assert sorted(p.name for p in (ROOT / "scripts").glob("*.py")) == ["bench_e2e.py"]
+
+
+def test_bench_entry(tmp_path, monkeypatch, capsys):
+    bench = _load_bench()
+    monkeypatch.setattr(
+        bench,
+        "COMMANDS",
+        {
+            "bounds": ["-c", bench.CLI, "bounds", "--from", "5", "--to", "6"],
+            "search5": ["-c", bench.CLI, "search", "--n", "5", "--json"],
+        },
+    )
+    out = tmp_path / "bench.json"
+    stale = {"label": "change", "src_lines": -1}
+    kept = {"label": "parent", "src_lines": 1}
+    out.write_text(json.dumps({"command": "bench", "entries": [kept, stale]}))
+
+    assert bench.main(["--label", "change", "--checkout", str(ROOT), "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["command"] == "bench"
+    # the entry of the same label is replaced, the other one kept
+    assert [e["label"] for e in data["entries"]] == ["parent", "change"]
+    assert data["entries"][0] == kept
+    entry = data["entries"][1]
+    assert entry["src_lines"] == bench.src_lines(str(ROOT)) > 0
+    for name in ("bounds", "search5"):
+        row = entry[name]
+        assert len(row["wall_s"]) == bench.RUNS == 3
+        assert row["median_s"] == sorted(row["wall_s"])[1]
+        assert row["peak_rss_mb"] > 0
+        assert row["exit_code"] == 0
+    assert entry["bounds"]["outcome"].startswith("sha256:")
+    r = max_family(5)
+    assert entry["search5"]["outcome"] == f"t_max={r.t_max} nodes={r.nodes_explored}"
+    capsys.readouterr()
+
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["--label", "x", "--checkout", str(tmp_path), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "no src/migsets package" in capsys.readouterr().err

@@ -281,6 +281,32 @@ def test_verify_rejects_malformed_witness_map_and_duplicates(tmp_path, capsys):
         _assert_one_line_error(capsys)
 
 
+NOT_A_FAMILY = "error: cannot read family: expected an object with a member list and a witness map\n"
+
+
+@pytest.mark.parametrize(
+    "family, err",
+    [
+        ({"members": "5"}, NOT_A_FAMILY),
+        ({"members": {"5": 1}}, NOT_A_FAMILY),
+        ({"n": 5}, NOT_A_FAMILY),
+        (
+            {"n": 5, "members": ["4,1", "3,2"], "witnesses": {"4,1": 1}},
+            "error: malformed family: witness keys do not match the member list\n",
+        ),
+    ],
+    ids=["string-members", "map-members", "no-members", "missing-witness"],
+)
+def test_verify_names_a_bad_member_list_or_witness_map(tmp_path, capsys, family, err):
+    # a member list that is not a list is not iterated as one, and no
+    # KeyError repr reaches the message
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(family))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+
+
 def test_verify_json_mode(tmp_path, capsys):
     path = _write_family(tmp_path, 20)
     assert main(["verify", str(path), "--json"]) == 0
