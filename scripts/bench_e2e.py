@@ -1,6 +1,6 @@
 """Record the end-to-end numbers of one checkout: its `src/` line count and
-the wall time and peak RSS of tier-1, `migsets repro`, the `bounds` sweep
-and the wide exact searches.
+the wall time and peak RSS of tier-1, `migsets repro`, the `bounds` sweep,
+the wide exact searches and the oracle's maximal-subgroup load.
 
     python3 scripts/bench_e2e.py --label change
     python3 scripts/bench_e2e.py --label parent --checkout ../parent
@@ -12,18 +12,22 @@ package from its `src/`:
 - tier1: ``python -m pytest -q --continue-on-collection-errors``;
 - repro: ``migsets repro``;
 - bounds: ``migsets bounds --from 5 --to 10000``;
-- search60, search70, search80: ``migsets search --n N --json``.
+- search60, search70, search80: ``migsets search --n N --json``;
+- oracle_load: ``maximal_subgroups(n)`` for n=5..12, the set-up every exact
+  oracle answer pays once per degree.
 
-The entry records, per command, the wall seconds of every run and their
-median, the largest peak RSS of a run (from `os.wait4`, so of that child
-alone), the exit code, and what the output says about the result: pytest's
-summary line for tier-1, the SHA-256 of the TSV for bounds, and
-``t_max=T nodes=N`` for a search.  Node counts and the rest do not depend
-on the machine, so two entries can be seen to have done the same work.  It
-also records the line count of `src/migsets/*.py`, the commit of the
-checkout (with "-dirty" when its tree has uncommitted changes), the Python
-version, the CPU model and the CPU count, and replaces any entry of the
-same label in --out (default BENCH_e2e.json).  Standard library only.
+The entry records, per command, the wall seconds of every run (to the
+millisecond), their median and their spread, (max - min) / median, so that
+a gap between two entries narrower than the spread reads as unresolved;
+the largest peak RSS of a run (from `os.wait4`, so of that child alone),
+the exit code, and what the output says about the result: pytest's summary
+line for tier-1, the SHA-256 of the TSV for bounds, ``t_max=T nodes=N`` for
+a search, and ``records=55`` for the load.  Node counts and the rest do not
+depend on the machine, so two entries can be seen to have done the same
+work.  It also records the line count of `src/migsets/*.py`, the commit of
+the checkout (with "-dirty" when its tree has uncommitted changes), the
+Python version, the CPU model and the CPU count, and replaces any entry of
+the same label in --out (default BENCH_e2e.json).  Standard library only.
 """
 
 from __future__ import annotations
@@ -44,6 +48,11 @@ COMMANDS = {
     "repro": ["-c", CLI, "repro"],
     "bounds": ["-c", CLI, "bounds", "--from", "5", "--to", "10000"],
     **{f"search{n}": ["-c", CLI, "search", "--n", str(n), "--json"] for n in (60, 70, 80)},
+    "oracle_load": [
+        "-c",
+        "from migsets.subgroup_oracle import maximal_subgroups; "
+        "print(f'records={sum(len(maximal_subgroups(n)) for n in range(5, 13))}')",
+    ],
 }
 RUNS = 3
 
@@ -119,15 +128,17 @@ def measure(checkout, name):
     walls, rss, codes, outcomes = [], [], set(), set()
     for _ in range(RUNS):
         wall, peak, code, outcome = run_once(checkout, name)
-        walls.append(round(wall, 2))
+        walls.append(round(wall, 3))
         rss.append(peak)
         codes.add(code)
         outcomes.add(outcome)
     if len(codes) != 1 or len(outcomes) != 1:
         raise SystemExit(f"{name}: runs disagree: exit codes {codes}, outcomes {outcomes}")
+    median = statistics.median(walls)
     return {
         "wall_s": walls,
-        "median_s": round(statistics.median(walls), 2),
+        "median_s": round(median, 3),
+        "spread": round((max(walls) - min(walls)) / median, 3),
         "peak_rss_mb": round(max(rss), 1),
         "exit_code": codes.pop(),
         "outcome": outcomes.pop(),

@@ -6,6 +6,11 @@ the bundled subgroup data.  The stabilizer chain is built by the classical
 Schreier-Sims procedure with no randomization, so group order, membership and
 element enumeration are reproducible across runs.
 
+`order_reaches`, which certifies an order already bounded from above, is the
+one seeded check: its draw (`ORDER_SEED`) sets only its run time, never its
+answer, since a partial chain can only prove a bound, and after
+`ORDER_PATIENCE` idle sifts it asks `PermGroup` instead.
+
 The chain itself holds each permutation as a 256-byte translation table:
 the bytes of its images, padded with the identity on the points past the
 degree.  A product p*q is then the C-level ``p.translate(q)``, and an
@@ -24,13 +29,15 @@ does.
 
 The public interface stays on image tuples: `PermGroup.generators`, the
 input of `contains` and the output of `elements` are tuples, and a group has
-at most `MAX_POINTS` (256) points, checked before any work.  The algorithm is
+at most `MAX_POINTS` (256) points, checked before any work.  The chain is
 the plain one, without Schreier vectors or randomization; the degrees handled
 here are small (at most a few dozen points in the package itself).
 """
 
 from __future__ import annotations
 
+import math
+import random
 import re
 from collections import defaultdict, deque
 
@@ -44,6 +51,9 @@ class PermError(ValueError):
 # the points a chain table (one byte per point) can hold
 MAX_POINTS = 256
 _IDENTITY = bytes(range(MAX_POINTS))
+# `order_reaches`: the seed of its draw, and its sifts in a row to the identity
+ORDER_SEED = 1
+ORDER_PATIENCE = 30
 
 
 def identity(degree):
@@ -323,44 +333,110 @@ class PermGroup:
     # -- orbit and block structure --------------------------------------------
 
     def orbits(self):
-        parent = list(range(self.degree))
-        for g in self.generators:
-            for x in range(self.degree):
-                rx, ry = _find(parent, x), _find(parent, g[x])
-                if rx != ry:
-                    parent[ry] = rx
-        groups = {}
-        for x in range(self.degree):
-            groups.setdefault(_find(parent, x), []).append(x)
-        return tuple(tuple(sorted(v)) for v in sorted(groups.values()))
+        return orbits(self.degree, self.generators)
 
     def is_transitive(self):
-        return len(self.orbits()) == 1
+        return is_transitive(self.degree, self.generators)
 
     def _block_closure(self, alpha, beta):
-        """Smallest block containing both points (Atkinson's union-find
-        closure); returned as the class of alpha."""
-        parent = list(range(self.degree))
-        queue = [(alpha, beta)]
-        while queue:
-            a, b = queue.pop()
-            ra, rb = _find(parent, a), _find(parent, b)
-            if ra == rb:
-                continue
-            parent[rb] = ra
-            for g in self.generators:
-                queue.append((g[ra], g[rb]))
-        root = _find(parent, alpha)
-        return frozenset(x for x in range(self.degree) if _find(parent, x) == root)
+        return _block_closure(self.degree, self.generators, alpha, beta)
 
     def is_primitive(self):
-        """Atkinson's test: transitive, and for each beta >= 1 the smallest
-        block containing 0 and beta is every point (a nontrivial block
-        through 0 contains the smallest one through 0 and any of its points)."""
-        return self.is_transitive() and all(
-            len(self._block_closure(0, beta)) == self.degree
-            for beta in range(1, self.degree)
-        )
+        return is_primitive(self.degree, self.generators)
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order()})"
+
+
+def orbits(degree, generators):
+    """The orbits of the group the image tuples generate, each sorted."""
+    parent = list(range(degree))
+    for g in generators:
+        for x in range(degree):
+            rx, ry = _find(parent, x), _find(parent, g[x])
+            if rx != ry:
+                parent[ry] = rx
+    groups = {}
+    for x in range(degree):
+        groups.setdefault(_find(parent, x), []).append(x)
+    return tuple(tuple(sorted(v)) for v in sorted(groups.values()))
+
+
+def is_transitive(degree, generators):
+    return len(orbits(degree, generators)) == 1
+
+
+def _block_closure(degree, generators, alpha, beta):
+    """Smallest block containing both points (Atkinson's union-find
+    closure); returned as the class of alpha."""
+    parent = list(range(degree))
+    queue = [(alpha, beta)]
+    while queue:
+        a, b = queue.pop()
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra == rb:
+            continue
+        parent[rb] = ra
+        for g in generators:
+            queue.append((g[ra], g[rb]))
+    root = _find(parent, alpha)
+    return frozenset(x for x in range(degree) if _find(parent, x) == root)
+
+
+def is_primitive(degree, generators):
+    """Atkinson's test: transitive, and for each beta >= 1 the smallest
+    block containing 0 and beta is every point (a nontrivial block
+    through 0 contains the smallest one through 0 and any of its points)."""
+    return is_transitive(degree, generators) and all(
+        len(_block_closure(degree, generators, 0, beta)) == degree
+        for beta in range(1, degree)
+    )
+
+
+def order_reaches(degree, generators, bound):
+    """Is the order of the group the image tuples generate at least bound?
+
+    Random products (product replacement with an accumulator) sift into a
+    partial chain, whose orbits lie in those of a full chain on the same
+    base points, so the product of their lengths never exceeds the order; a
+    residue grows the orbit of each level it joins by itself, then closes
+    the new points under the level's generators.  After `ORDER_PATIENCE` sifts in a row to the
+    identity the answer is `PermGroup(...).order() >= bound`."""
+    state = [bytes(g) + _IDENTITY[degree:] for g in generators or [identity(degree)]] * 2
+    rng = random.Random(ORDER_SEED)
+    acc = _IDENTITY
+    levels = []  # (base point, generators, {orbit point: inverse transversal})
+    reached, trivial = 1, 0
+    while reached < bound and trivial < ORDER_PATIENCE:
+        i, j = rng.sample(range(len(state)), 2)
+        state[i] = state[i].translate(state[j])
+        h = acc = acc.translate(state[i])
+        depth = 0
+        for point, _, inverses in levels:
+            rep_inv = inverses.get(h[point])
+            if rep_inv is None:
+                break
+            h = h.translate(rep_inv)
+            depth += 1
+        if h == _IDENTITY:
+            trivial += 1
+            continue
+        trivial = 0
+        if depth == len(levels):
+            point = _first_moved(h)
+            levels.append((point, [], {point: _IDENTITY}))
+        h, h_inv = _with_inverse(h)
+        for _, gens, inverses in levels[: depth + 1]:
+            gens.append((h, h_inv))
+            queue = []
+            for beta in list(inverses):
+                if h[beta] not in inverses:
+                    inverses[h[beta]] = h_inv.translate(inverses[beta])
+                    queue.append(h[beta])
+            for beta in queue:  # grows while it is read
+                for g, g_inv in gens:
+                    if g[beta] not in inverses:
+                        inverses[g[beta]] = g_inv.translate(inverses[beta])
+                        queue.append(g[beta])
+        reached = math.prod(len(inverses) for _, _, inverses in levels)
+    return reached >= bound or PermGroup(degree, generators).order() >= bound

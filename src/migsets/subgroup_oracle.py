@@ -5,7 +5,13 @@ representatives of maximal subgroups of the symmetric group: the subset and
 block-system stabilizers (`structural_records`, built without a group for
 any n <= 40), the alternating group, and the handful of primitive groups,
 which ship as generator strings in ``data/maximal_subgroups.txt``.  Every
-record is validated against its stated order when `maximal_subgroups` loads it.
+record is validated against its kind and stated order when `maximal_subgroups`
+loads it.  A structural or alternating record's generators must keep an
+invariant that puts its group inside one of that order (the orbits of
+S_s x S_{n-s}, the blocks {ia, ..., ia+a-1} of S_a wr S_b, evenness for A_n),
+and `perms.order_reaches` then proves the order is reached, without a full
+chain.  A primitive record builds its deterministic chain, for its order and
+cycle types, and must be primitive and hold an odd generator.
 
 Which structural records a class meets is one function of its parts tuple
 per degree, `structural_vector(n)`: a shift-or over the parts for the
@@ -52,7 +58,7 @@ from .partitions import (
     wreath_realizable,
     wreath_types,
 )
-from .perms import PermGroup, cycle_type, from_cycles, parse_cycles
+from .perms import PermGroup, cycle_type, from_cycles, order_reaches, orbits, parse_cycles
 
 MIN_DEGREE = 5
 MAX_DEGREE = 12
@@ -171,32 +177,42 @@ def _load_primitive_records():
 
 
 def _validate_record(rec):
-    grp = rec.group()
-    if grp.order() != rec.expected_order:
-        raise OracleError(
-            f"{rec.label}: generated order {grp.order()} != {rec.expected_order}"
-        )
+    """Refuse a record whose group is not of its kind and stated order;
+    return the chain of a primitive record, None for the others."""
+    n, gens = rec.degree, rec.generators
     # a group lies in A_n exactly when all its generators are even
-    even = all(parity(cycle_type(g)) == "even" for g in rec.generators)
+    even = all(parity(cycle_type(g)) == "even" for g in gens)
     if rec.kind == "intransitive":
         s = rec.param[0]
-        expected = (tuple(range(s)), tuple(range(s, rec.degree)))
-        if grp.orbits() != expected:
-            raise OracleError(f"{rec.label}: unexpected orbits {grp.orbits()}")
+        if orbits(n, gens) != (tuple(range(s)), tuple(range(s, n))):
+            raise OracleError(f"{rec.label}: unexpected orbits {orbits(n, gens)}")
     elif rec.kind == "imprimitive":
-        if not grp.is_transitive() or grp.is_primitive():
-            raise OracleError(f"{rec.label}: expected a transitive imprimitive group")
+        a = rec.param[0]
+        if any(len({g[x] // a for x in range(i, i + a)}) > 1 for g in gens for i in range(0, n, a)):
+            raise OracleError(f"{rec.label}: a generator does not permute the blocks of size {a}")
     elif rec.kind == "alternating":
         if not even:
             raise OracleError(f"{rec.label}: generators must be even")
     else:
+        grp = rec.group()
+        _check_order(rec, grp.order())
         if not grp.is_primitive():
             raise OracleError(f"{rec.label}: expected a primitive group")
         if even:
             raise OracleError(
                 f"{rec.label}: contained in the alternating group, not maximal"
             )
-    return grp
+        return grp
+    # the invariant puts the group inside one of the expected order, so an
+    # order that reaches it is that order; only a wrong record builds chains
+    if not order_reaches(n, gens, rec.expected_order):
+        _check_order(rec, rec.group().order())
+    return None
+
+
+def _check_order(rec, order):
+    if order != rec.expected_order:
+        raise OracleError(f"{rec.label}: generated order {order} != {rec.expected_order}")
 
 
 @lru_cache(maxsize=None)

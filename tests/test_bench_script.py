@@ -1,4 +1,4 @@
-"""The one bench script, `scripts/bench_e2e.py`, run on two cheap commands."""
+"""The one bench script, `scripts/bench_e2e.py`, run on three cheap commands."""
 
 import importlib.util
 import json
@@ -31,6 +31,7 @@ def test_bench_entry(tmp_path, monkeypatch, capsys):
         {
             "bounds": ["-c", bench.CLI, "bounds", "--from", "5", "--to", "6"],
             "search5": ["-c", bench.CLI, "search", "--n", "5", "--json"],
+            "oracle_load": bench.COMMANDS["oracle_load"],
         },
     )
     out = tmp_path / "bench.json"
@@ -46,15 +47,20 @@ def test_bench_entry(tmp_path, monkeypatch, capsys):
     assert data["entries"][0] == kept
     entry = data["entries"][1]
     assert entry["src_lines"] == bench.src_lines(str(ROOT)) > 0
-    for name in ("bounds", "search5"):
+    for name in ("bounds", "search5", "oracle_load"):
         row = entry[name]
         assert len(row["wall_s"]) == bench.RUNS == 3
+        # walls to the millisecond, and their spread relative to the median
+        assert all(w == round(w, 3) for w in row["wall_s"])
         assert row["median_s"] == sorted(row["wall_s"])[1]
+        spread = (max(row["wall_s"]) - min(row["wall_s"])) / row["median_s"]
+        assert row["spread"] == round(spread, 3)
         assert row["peak_rss_mb"] > 0
         assert row["exit_code"] == 0
     assert entry["bounds"]["outcome"].startswith("sha256:")
     r = max_family(5)
     assert entry["search5"]["outcome"] == f"t_max={r.t_max} nodes={r.nodes_explored}"
+    assert entry["oracle_load"]["outcome"] == "records=55"
     capsys.readouterr()
 
     with pytest.raises(SystemExit) as exc:

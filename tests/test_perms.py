@@ -9,7 +9,12 @@ import random
 import pytest
 
 from migsets.partitions import Partition
-from migsets.subgroup_oracle import maximal_subgroups, wreath_generators
+from migsets.subgroup_oracle import (
+    _alternating_record,
+    maximal_subgroups,
+    structural_records,
+    wreath_generators,
+)
 from migsets.perms import (
     MAX_POINTS,
     PermGroup,
@@ -20,6 +25,7 @@ from migsets.perms import (
     identity,
     inverse,
     multiply,
+    order_reaches,
     parse_cycles,
 )
 
@@ -312,6 +318,45 @@ def test_primitivity_of_two_transitive_group():
     g = PermGroup(6, gens)
     assert g.order() == 120
     assert g.is_primitive()
+
+
+# ---------------------------------------------------------------------------
+# the seeded order check
+
+
+def test_order_reaches_matches_bfs_closure_random():
+    rng = random.Random(7)
+    for _ in range(30):
+        n = rng.randint(2, 7)
+        gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 3))]
+        order = len(closure_by_bfs(n, gens))
+        assert order_reaches(n, gens, order)
+        assert not order_reaches(n, gens, order + 1)
+    assert order_reaches(5, [], 1) and not order_reaches(5, [], 2)
+
+
+def test_order_reaches_agrees_with_the_chain_on_structural_records(monkeypatch):
+    # at the stated order the partial chain proves the bound without a full
+    # chain; one past it can never be reached, so the answer comes from the
+    # fallback chain, whose order must be the stated one
+    built = []
+    init = PermGroup.__init__
+
+    def recording_init(self, degree, generators):
+        init(self, degree, generators)
+        built.append(self.order())
+
+    monkeypatch.setattr(PermGroup, "__init__", recording_init)
+    checked = 0
+    for n in range(5, 17):
+        for rec in (*structural_records(n), _alternating_record(n)):
+            assert order_reaches(n, rec.generators, rec.expected_order), rec.label
+            assert built == [], rec.label
+            assert not order_reaches(n, rec.generators, rec.expected_order + 1)
+            assert built == [rec.expected_order], rec.label
+            built.clear()
+            checked += 1
+    assert checked == 84
 
 
 # ---------------------------------------------------------------------------

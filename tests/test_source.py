@@ -159,9 +159,10 @@ def test_readme_t_max_tables_match_frozen():
 
 
 def test_stabilizer_chain_hot_loop_stays_c_level():
-    # the chain multiplies byte tables with bytes.translate and sifts with
-    # cached inverses: no per-element Python loop in multiply, and no
-    # tuple product or inversion inside the chain's loops
+    # the chain and the seeded order check multiply byte tables with
+    # bytes.translate and sift with cached inverses: no per-element Python
+    # loop in multiply, no tuple product or inversion inside their loops,
+    # and no conversion between tuples and tables in the order check's loop
     tree = ast.parse((ROOT / "src" / "migsets" / "perms.py").read_text())
     funcs = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
     loops = (ast.GeneratorExp, ast.ListComp, ast.SetComp, ast.DictComp, ast.For, ast.While)
@@ -170,13 +171,19 @@ def test_stabilizer_chain_hot_loop_stays_c_level():
         for node in ast.walk(funcs["multiply"])
         if isinstance(node, loops)
     ]
-    for name in ("_strip", "_verify_level", "_rebuild_orbit"):
+    for name in ("_strip", "_verify_level", "_rebuild_orbit", "order_reaches"):
         for node in ast.walk(funcs[name]):
             if isinstance(node, ast.Call):
                 callee = node.func
                 called = getattr(callee, "id", None) or getattr(callee, "attr", None)
                 if called in ("inverse", "multiply"):
                     found.append(f"{name}:{node.lineno} calls {called}()")
+    for loop in ast.walk(funcs["order_reaches"]):
+        if isinstance(loop, ast.While):
+            for node in ast.walk(loop):
+                called = isinstance(node, ast.Call) and getattr(node.func, "id", None)
+                if called in ("bytes", "tuple", "identity"):
+                    found.append(f"order_reaches:{node.lineno} calls {called}()")
     assert not found, found
 
 

@@ -12,9 +12,10 @@ import pytest
 
 from migsets.partitions import Partition, enumerate_partitions, parity
 from migsets import subgroup_oracle
-from migsets.perms import cycle_type
+from migsets.perms import PermGroup, cycle_type, from_cycles
 from migsets.subgroup_oracle import (
     OracleError,
+    _alternating_record,
     _parts_mask,
     _validate_record,
     class_meets_subgroup,
@@ -59,6 +60,75 @@ def test_primitive_record_inside_alternating_group_refused():
     assert psl.group().is_primitive()
     with pytest.raises(OracleError, match="contained in the alternating group"):
         _validate_record(psl)
+
+
+def _mutated(n, label, extra=None, drop=None):
+    """The structural or alternating record of that label, with the cycle
+    `extra` added as a generator or the generator at index `drop` removed."""
+    rec = next(r for r in (*structural_records(n), _alternating_record(n)) if r.label == label)
+    gens = [g for i, g in enumerate(rec.generators) if i != drop]
+    if extra:
+        gens.append(from_cycles(n, [extra]))
+    return dataclasses.replace(rec, generators=tuple(gens))
+
+
+@pytest.mark.parametrize(
+    "rec, message",
+    [
+        # each invariant is checked before the order it bounds: every record
+        # here generates a larger group than it states
+        (_mutated(7, "S_3 x S_4", extra=(2, 3)), r"orbits \(\(0, 1, 2, 3, 4, 5, 6\),\)$"),
+        (_mutated(6, "S_2 wr S_3", extra=(1, 2)), "does not permute the blocks of size 2$"),
+        (_mutated(7, "A_7", extra=(0, 1)), "A_7: generators must be even$"),
+        # a dropped generator keeps the invariant and loses order
+        (_mutated(7, "S_3 x S_4", drop=0), r"S_3 x S_4: generated order 72 != 144$"),
+        (_mutated(6, "S_2 wr S_3", drop=2), r"S_2 wr S_3: generated order 24 != 48$"),
+        (_mutated(7, "A_7", drop=0), r"A_7: generated order 7 != 2520$"),
+    ],
+    ids=[
+        "joined-orbits",
+        "broken-blocks",
+        "odd-generator",
+        "drop-intransitive",
+        "drop-wreath",
+        "drop-alternating",
+    ],
+)
+def test_mutated_structural_record_refused(rec, message):
+    with pytest.raises(OracleError, match=message):
+        _validate_record(rec)
+
+
+def _count_chains(monkeypatch):
+    built = []
+    init = PermGroup.__init__
+
+    def counting_init(self, degree, generators):
+        built.append(degree)
+        init(self, degree, generators)
+
+    monkeypatch.setattr(PermGroup, "__init__", counting_init)
+    return built
+
+
+def test_structural_records_to_degree_20_validate(monkeypatch):
+    # the seeded order check reaches every stated order at n=13..20, past
+    # the oracle's MAX_DEGREE, without a full chain
+    built = _count_chains(monkeypatch)
+    for n in range(13, 21):
+        for rec in (*structural_records(n), _alternating_record(n)):
+            assert _validate_record(rec) is None, rec.label
+    assert built == []
+
+
+def test_loading_builds_one_chain_per_primitive_record(monkeypatch):
+    # the structural and alternating records are certified by their
+    # invariant and the seeded order check, so loading n=5..12 builds only
+    # the eight primitive chains
+    built = _count_chains(monkeypatch)
+    maximal_subgroups.cache_clear()
+    assert sum(len(maximal_subgroups(n)) for n in range(5, 13)) == 55
+    assert built == list(range(5, 13))
 
 
 def test_degree_range_enforced():
