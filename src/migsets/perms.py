@@ -6,11 +6,6 @@ the bundled subgroup data.  The stabilizer chain is built by the classical
 Schreier-Sims procedure with no randomization, so group order, membership and
 element enumeration are reproducible across runs.
 
-`order_reaches`, which certifies an order already bounded from above, is the
-one seeded check: its draw (`ORDER_SEED`) sets only its run time, never its
-answer, since a partial chain can only prove a bound, and after
-`ORDER_PATIENCE` idle sifts it asks `PermGroup` instead.
-
 The chain itself holds each permutation as a 256-byte translation table:
 the bytes of its images, padded with the identity on the points past the
 degree.  A product p*q is then the C-level ``p.translate(q)``, and an
@@ -36,8 +31,6 @@ here are small (at most a few dozen points in the package itself).
 
 from __future__ import annotations
 
-import math
-import random
 import re
 from collections import defaultdict, deque
 
@@ -51,9 +44,6 @@ class PermError(ValueError):
 # the points a chain table (one byte per point) can hold
 MAX_POINTS = 256
 _IDENTITY = bytes(range(MAX_POINTS))
-# `order_reaches`: the seed of its draw, and its sifts in a row to the identity
-ORDER_SEED = 1
-ORDER_PATIENCE = 30
 
 
 def identity(degree):
@@ -330,20 +320,6 @@ class PermGroup:
             Partition(t) for t in set(map(_cycle_lengths, self._element_images()))
         )
 
-    # -- orbit and block structure --------------------------------------------
-
-    def orbits(self):
-        return orbits(self.degree, self.generators)
-
-    def is_transitive(self):
-        return is_transitive(self.degree, self.generators)
-
-    def _block_closure(self, alpha, beta):
-        return _block_closure(self.degree, self.generators, alpha, beta)
-
-    def is_primitive(self):
-        return is_primitive(self.degree, self.generators)
-
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order()})"
 
@@ -391,52 +367,3 @@ def is_primitive(degree, generators):
         len(_block_closure(degree, generators, 0, beta)) == degree
         for beta in range(1, degree)
     )
-
-
-def order_reaches(degree, generators, bound):
-    """Is the order of the group the image tuples generate at least bound?
-
-    Random products (product replacement with an accumulator) sift into a
-    partial chain, whose orbits lie in those of a full chain on the same
-    base points, so the product of their lengths never exceeds the order; a
-    residue grows the orbit of each level it joins by itself, then closes
-    the new points under the level's generators.  After `ORDER_PATIENCE` sifts in a row to the
-    identity the answer is `PermGroup(...).order() >= bound`."""
-    state = [bytes(g) + _IDENTITY[degree:] for g in generators or [identity(degree)]] * 2
-    rng = random.Random(ORDER_SEED)
-    acc = _IDENTITY
-    levels = []  # (base point, generators, {orbit point: inverse transversal})
-    reached, trivial = 1, 0
-    while reached < bound and trivial < ORDER_PATIENCE:
-        i, j = rng.sample(range(len(state)), 2)
-        state[i] = state[i].translate(state[j])
-        h = acc = acc.translate(state[i])
-        depth = 0
-        for point, _, inverses in levels:
-            rep_inv = inverses.get(h[point])
-            if rep_inv is None:
-                break
-            h = h.translate(rep_inv)
-            depth += 1
-        if h == _IDENTITY:
-            trivial += 1
-            continue
-        trivial = 0
-        if depth == len(levels):
-            point = _first_moved(h)
-            levels.append((point, [], {point: _IDENTITY}))
-        h, h_inv = _with_inverse(h)
-        for _, gens, inverses in levels[: depth + 1]:
-            gens.append((h, h_inv))
-            queue = []
-            for beta in list(inverses):
-                if h[beta] not in inverses:
-                    inverses[h[beta]] = h_inv.translate(inverses[beta])
-                    queue.append(h[beta])
-            for beta in queue:  # grows while it is read
-                for g, g_inv in gens:
-                    if g[beta] not in inverses:
-                        inverses[g[beta]] = g_inv.translate(inverses[beta])
-                        queue.append(g[beta])
-        reached = math.prod(len(inverses) for _, _, inverses in levels)
-    return reached >= bound or PermGroup(degree, generators).order() >= bound

@@ -9,9 +9,10 @@ record is validated against its kind and stated order when `maximal_subgroups`
 loads it.  A structural or alternating record's generators must keep an
 invariant that puts its group inside one of that order (the orbits of
 S_s x S_{n-s}, the blocks {ia, ..., ia+a-1} of S_a wr S_b, evenness for A_n),
-and `perms.order_reaches` then proves the order is reached, without a full
-chain.  A primitive record builds its deterministic chain, for its order and
-cycle types, and must be primitive and hold an odd generator.
+and Jordan's theorem (`_jordan`) then puts one of that order inside it,
+without a chain; generators it cannot read build the chain instead.  A
+primitive record builds its deterministic chain, for its order and cycle
+types, and must be primitive and hold an odd generator.
 
 Which structural records a class meets is one function of its parts tuple
 per degree, `structural_vector(n)`: a shift-or over the parts for the
@@ -58,7 +59,7 @@ from .partitions import (
     wreath_realizable,
     wreath_types,
 )
-from .perms import PermGroup, cycle_type, from_cycles, order_reaches, orbits, parse_cycles
+from .perms import PermGroup, cycle_type, from_cycles, is_primitive, orbits, parse_cycles
 
 MIN_DEGREE = 5
 MAX_DEGREE = 12
@@ -182,32 +183,59 @@ def _validate_record(rec):
     n, gens = rec.degree, rec.generators
     # a group lies in A_n exactly when all its generators are even
     even = all(parity(cycle_type(g)) == "even" for g in gens)
+    # each invariant puts the group inside one of the stated order, and
+    # Jordan's theorem puts one of that order inside it
     if rec.kind == "intransitive":
         s = rec.param[0]
         if orbits(n, gens) != (tuple(range(s)), tuple(range(s, n))):
             raise OracleError(f"{rec.label}: unexpected orbits {orbits(n, gens)}")
+        certified = _jordan(range(s), gens, 2) and _jordan(range(s, n), gens, 2)
     elif rec.kind == "imprimitive":
         a = rec.param[0]
         if any(len({g[x] // a for x in range(i, i + a)}) > 1 for g in gens for i in range(0, n, a)):
             raise OracleError(f"{rec.label}: a generator does not permute the blocks of size {a}")
+        # S_b on the blocks is transitive, so it conjugates S_a on block 0
+        # onto every block: the base group S_a^b lies in the group too
+        on_blocks = [tuple(g[i] // a for i in range(0, n, a)) for g in gens]
+        certified = _jordan(range(a), gens, 2) and _jordan(range(n // a), on_blocks, 2)
     elif rec.kind == "alternating":
         if not even:
             raise OracleError(f"{rec.label}: generators must be even")
+        certified = _jordan(range(n), gens, 3)
     else:
         grp = rec.group()
         _check_order(rec, grp.order())
-        if not grp.is_primitive():
+        if not is_primitive(n, gens):
             raise OracleError(f"{rec.label}: expected a primitive group")
         if even:
             raise OracleError(
                 f"{rec.label}: contained in the alternating group, not maximal"
             )
         return grp
-    # the invariant puts the group inside one of the expected order, so an
-    # order that reaches it is that order; only a wrong record builds chains
-    if not order_reaches(n, gens, rec.expected_order):
+    # generators that the theorem cannot read still give the exact order
+    if not certified:
         _check_order(rec, rec.group().order())
     return None
+
+
+def _jordan(points, gens, moved):
+    """Does the group of the generators fixing every point off `points`
+    contain Sym(points) (moved=2) or Alt(points) (moved=3) by Jordan's
+    theorem?  A primitive group holding a transposition is symmetric, one
+    holding a 3-cycle contains the alternating group (Dixon and Mortimer,
+    Permutation Groups, Thm 3.3A); so ask whether one of the generators,
+    restricted to `points`, moves exactly `moved` points and whether the
+    restrictions are primitive.  A single point passes."""
+    index = {x: i for i, x in enumerate(points)}
+    local = [
+        tuple(index[g[x]] for x in points)
+        for g in gens
+        if all(x == y for x, y in enumerate(g) if x not in index)
+    ]
+    return len(index) == 1 or (
+        any(sum(x != y for x, y in enumerate(g)) == moved for g in local)
+        and is_primitive(len(index), local)
+    )
 
 
 def _check_order(rec, order):

@@ -2,6 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -421,6 +425,18 @@ def test_bounds_range_row_count(capsys):
     assert len(lines) == 97  # header + 96 rows
     assert lines[1].startswith("5\t")
     assert lines[-1].startswith("100\t")
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "migsets", "bounds", "--from", "5"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert main(["bounds", "--from", "5"]) == 0
+    assert done.stdout == capsys.readouterr().out
 
 
 def test_bounds_k1_flag(capsys):

@@ -1,16 +1,21 @@
 """Permutation engine: orders via the stabilizer chain are checked against
 factorial formulas and against independent breadth-first element closures."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
 import random
 
 import pytest
+from test_subgroup_oracle import _count_chains
 
 from migsets.partitions import Partition
 from migsets.subgroup_oracle import (
+    OracleError,
     _alternating_record,
+    _jordan,
+    _validate_record,
     maximal_subgroups,
     structural_records,
     wreath_generators,
@@ -19,13 +24,16 @@ from migsets.perms import (
     MAX_POINTS,
     PermGroup,
     PermError,
+    _block_closure,
     cycle_type,
     format_cycles,
     from_cycles,
     identity,
     inverse,
+    is_primitive,
+    is_transitive,
     multiply,
-    order_reaches,
+    orbits,
     parse_cycles,
 )
 
@@ -132,7 +140,7 @@ def test_order_trivial_and_cyclic():
 def test_order_affine_20():
     g = PermGroup(5, [parse_cycles("(0 1 2 3 4)", 5), parse_cycles("(1 2 4 3)", 5)])
     assert g.order() == 20
-    assert g.is_transitive()
+    assert is_transitive(5, g.generators)
 
 
 def test_order_matches_bfs_closure_random():
@@ -219,31 +227,30 @@ def test_elements_cap():
 
 
 def test_orbits():
-    g = PermGroup(5, [from_cycles(5, [(0, 1)]), from_cycles(5, [(2, 3, 4)])])
-    assert g.orbits() == ((0, 1), (2, 3, 4))
-    assert not g.is_transitive()
+    gens = [from_cycles(5, [(0, 1)]), from_cycles(5, [(2, 3, 4)])]
+    assert orbits(5, gens) == ((0, 1), (2, 3, 4))
+    assert not is_transitive(5, gens)
 
 
 def test_block_closure_cyclic6():
     # the 6-cycle's smallest blocks through 0: opposite points, the even
     # points, and everything from a neighbour
-    g = PermGroup(6, [from_cycles(6, [(0, 1, 2, 3, 4, 5)])])
-    assert g._block_closure(0, 3) == {0, 3}
-    assert g._block_closure(0, 2) == g._block_closure(0, 4) == {0, 2, 4}
-    assert g._block_closure(0, 1) == g._block_closure(0, 5) == set(range(6))
-    assert not g.is_primitive()
+    gens = [from_cycles(6, [(0, 1, 2, 3, 4, 5)])]
+    assert _block_closure(6, gens, 0, 3) == {0, 3}
+    assert _block_closure(6, gens, 0, 2) == _block_closure(6, gens, 0, 4) == {0, 2, 4}
+    assert _block_closure(6, gens, 0, 1) == _block_closure(6, gens, 0, 5) == set(range(6))
+    assert not is_primitive(6, gens)
 
 
 def test_symmetric_group_primitive():
-    g = PermGroup(6, symmetric_gens(6))
-    assert g.is_primitive()
+    assert is_primitive(6, symmetric_gens(6))
 
 
 def test_blocks_require_transitivity():
     # the trivial group on two points has {0, 1} as its one block closure,
     # so only the transitivity check rejects it
-    assert not PermGroup(2, []).is_primitive()
-    assert not PermGroup(4, [from_cycles(4, [(0, 1)])]).is_primitive()
+    assert not is_primitive(2, [])
+    assert not is_primitive(4, [from_cycles(4, [(0, 1)])])
 
 
 def test_imprimitive_wreath_blocks():
@@ -255,8 +262,8 @@ def test_imprimitive_wreath_blocks():
     ]
     g = PermGroup(6, gens)
     assert g.order() == 48
-    assert g._block_closure(0, 1) == {0, 1}
-    assert not g.is_primitive()
+    assert _block_closure(6, gens, 0, 1) == {0, 1}
+    assert not is_primitive(6, gens)
 
 
 def _has_block_through_0(g):
@@ -302,8 +309,8 @@ def _reference_groups():
 def test_is_primitive_matches_brute_force_blocks():
     checked = 0
     for label, g in _reference_groups():
-        assert g.is_transitive(), label
-        assert g.is_primitive() == (not _has_block_through_0(g)), label
+        assert is_transitive(g.degree, g.generators), label
+        assert is_primitive(g.degree, g.generators) == (not _has_block_through_0(g)), label
         checked += 1
     assert checked == 53
 
@@ -317,46 +324,70 @@ def test_primitivity_of_two_transitive_group():
     ]
     g = PermGroup(6, gens)
     assert g.order() == 120
-    assert g.is_primitive()
+    assert is_primitive(6, gens)
 
 
 # ---------------------------------------------------------------------------
-# the seeded order check
+# Jordan's theorem, which certifies the structural and alternating records
 
 
-def test_order_reaches_matches_bfs_closure_random():
+def test_jordan_matches_bfs_closure_random():
+    # where the test passes, the generators fixing every point off `points`
+    # generate Sym(points), or a group of at least half its order; random
+    # generators are mixed with transpositions and 3-cycles so that it often
+    # passes on three points or more
     rng = random.Random(7)
-    for _ in range(30):
+    passed = {2: 0, 3: 0}
+    for _ in range(200):
         n = rng.randint(2, 7)
-        gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 3))]
-        order = len(closure_by_bfs(n, gens))
-        assert order_reaches(n, gens, order)
-        assert not order_reaches(n, gens, order + 1)
-    assert order_reaches(5, [], 1) and not order_reaches(5, [], 2)
+        points = range(n) if rng.random() < 0.5 else sorted(rng.sample(range(n), rng.randint(1, n)))
+        gens = [
+            from_cycles(n, [rng.sample(range(n), min(rng.choice((2, 3, n)), n))])
+            for _ in range(rng.randint(0, 4))
+        ]
+        own = [g for g in gens if all(g[x] == x for x in range(n) if x not in points)]
+        size = len(closure_by_bfs(n, own))
+        k = math.factorial(len(points))
+        for moved, sizes in ((2, (k,)), (3, (k // 2, k))):
+            if _jordan(points, gens, moved):
+                assert size in sizes, (n, points, gens, moved)
+                passed[moved] += len(points) >= 3
+    assert passed[2] >= 10 and passed[3] >= 10, passed
 
 
-def test_order_reaches_agrees_with_the_chain_on_structural_records(monkeypatch):
-    # at the stated order the partial chain proves the bound without a full
-    # chain; one past it can never be reached, so the answer comes from the
-    # fallback chain, whose order must be the stated one
-    built = []
-    init = PermGroup.__init__
+def test_structural_records_certified_without_a_chain(monkeypatch):
+    built = _count_chains(monkeypatch)
+    records = [
+        rec
+        for n in range(5, 17)
+        for rec in (*structural_records(n), _alternating_record(n))
+    ]
+    for rec in records:
+        assert _validate_record(rec) is None, rec.label
+    assert built == [] and len(records) == 84
+    for rec in records:
+        assert rec.group().order() == rec.expected_order, rec.label
 
-    def recording_init(self, degree, generators):
-        init(self, degree, generators)
-        built.append(self.order())
 
-    monkeypatch.setattr(PermGroup, "__init__", recording_init)
-    checked = 0
-    for n in range(5, 17):
+def test_jordan_sound_on_generator_sub_lists(monkeypatch):
+    # dropping generators may break the record's invariant or its order,
+    # but wherever the record still validates without a chain, the chain
+    # of those generators has the stated order
+    built = _count_chains(monkeypatch)
+    certified = 0
+    for n in range(5, 13):
         for rec in (*structural_records(n), _alternating_record(n)):
-            assert order_reaches(n, rec.generators, rec.expected_order), rec.label
-            assert built == [], rec.label
-            assert not order_reaches(n, rec.generators, rec.expected_order + 1)
-            assert built == [rec.expected_order], rec.label
-            built.clear()
-            checked += 1
-    assert checked == 84
+            for size in range(len(rec.generators)):
+                for sub in itertools.combinations(rec.generators, size):
+                    built.clear()
+                    try:
+                        _validate_record(dataclasses.replace(rec, generators=sub))
+                    except OracleError:
+                        continue
+                    if not built:
+                        certified += 1
+                        assert PermGroup(n, sub).order() == rec.expected_order, (rec.label, sub)
+    assert certified > 0
 
 
 # ---------------------------------------------------------------------------

@@ -70,19 +70,23 @@ def test_search_knobs_stay_deleted():
     assert not found, found
 
 
-# helpers folded into one kernel or test, a field nothing read, and the
-# mask-group class that the (bits, representatives) pairs replaced
+# helpers folded into one kernel or test, a field nothing read, the
+# mask-group class that the (bits, representatives) pairs replaced, and the
+# seeded partial chain and its constants that Jordan's theorem replaced
 FOLDED_FUNCTIONS = (
     "leave_one_out", "minimal_block_systems", "_maximal", "descriptors", "MaskGroup",
+    "order_reaches",
 )
+FOLDED_CONSTANTS = ("ORDER_SEED", "ORDER_PATIENCE")
 
 
 def test_folded_helpers_stay_deleted():
     # `family_search.witness_sets` is the one witness-set kernel,
-    # `PermGroup.is_primitive` needs no list of block systems, and the
+    # `perms.is_primitive` needs no list of block systems, and the
     # search checks columns on index bitsets, not on maximal vectors; the
     # descriptor search witnesses by the oracle's records, not its own list;
-    # every mask grouping is a plain (bits, ...) pair
+    # every mask grouping is a plain (bits, ...) pair; `PermGroup`'s chain
+    # is the one chain engine
     found = []
     for path in sorted((ROOT / "src" / "migsets").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -93,6 +97,8 @@ def test_folded_helpers_stay_deleted():
             ):
                 kind = "class" if isinstance(node, ast.ClassDef) else "def"
                 found.append(f"{where} {kind} {node.name}")
+            if isinstance(node, ast.Name) and node.id in FOLDED_CONSTANTS:
+                found.append(f"{where} name {node.id}")
             if isinstance(node, ast.ClassDef):
                 found += [
                     f"{path.name}:{stmt.lineno} field class_count of {node.name}"
@@ -158,11 +164,22 @@ def test_readme_t_max_tables_match_frozen():
     assert table(*found.groups()[3:]) == DESCRIPTOR_T
 
 
+def test_perms_draws_nothing():
+    # the chain is deterministic: no module of random numbers at all
+    tree = ast.parse((ROOT / "src" / "migsets" / "perms.py").read_text())
+    imported = {
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in (getattr(node, "module", None), *(alias.name for alias in node.names))
+    }
+    assert "random" not in imported, imported
+
+
 def test_stabilizer_chain_hot_loop_stays_c_level():
-    # the chain and the seeded order check multiply byte tables with
-    # bytes.translate and sift with cached inverses: no per-element Python
-    # loop in multiply, no tuple product or inversion inside their loops,
-    # and no conversion between tuples and tables in the order check's loop
+    # the chain multiplies byte tables with bytes.translate and sifts with
+    # cached inverses: no per-element Python loop in multiply, and no tuple
+    # product or inversion inside its loops
     tree = ast.parse((ROOT / "src" / "migsets" / "perms.py").read_text())
     funcs = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
     loops = (ast.GeneratorExp, ast.ListComp, ast.SetComp, ast.DictComp, ast.For, ast.While)
@@ -171,19 +188,13 @@ def test_stabilizer_chain_hot_loop_stays_c_level():
         for node in ast.walk(funcs["multiply"])
         if isinstance(node, loops)
     ]
-    for name in ("_strip", "_verify_level", "_rebuild_orbit", "order_reaches"):
+    for name in ("_strip", "_verify_level", "_rebuild_orbit"):
         for node in ast.walk(funcs[name]):
             if isinstance(node, ast.Call):
                 callee = node.func
                 called = getattr(callee, "id", None) or getattr(callee, "attr", None)
                 if called in ("inverse", "multiply"):
                     found.append(f"{name}:{node.lineno} calls {called}()")
-    for loop in ast.walk(funcs["order_reaches"]):
-        if isinstance(loop, ast.While):
-            for node in ast.walk(loop):
-                called = isinstance(node, ast.Call) and getattr(node.func, "id", None)
-                if called in ("bytes", "tuple", "identity"):
-                    found.append(f"order_reaches:{node.lineno} calls {called}()")
     assert not found, found
 
 

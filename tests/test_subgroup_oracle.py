@@ -12,7 +12,7 @@ import pytest
 
 from migsets.partitions import Partition, enumerate_partitions, parity
 from migsets import subgroup_oracle
-from migsets.perms import PermGroup, cycle_type, from_cycles
+from migsets.perms import PermGroup, cycle_type, format_cycles, from_cycles, is_primitive
 from migsets.subgroup_oracle import (
     OracleError,
     _alternating_record,
@@ -57,7 +57,7 @@ def test_primitive_record_inside_alternating_group_refused():
     pgl = maximal_subgroups(6)[-1]
     even = tuple(g for g in pgl.generators if parity(cycle_type(g)) == "even")
     psl = dataclasses.replace(pgl, generators=even, expected_order=60)
-    assert psl.group().is_primitive()
+    assert is_primitive(6, psl.generators)
     with pytest.raises(OracleError, match="contained in the alternating group"):
         _validate_record(psl)
 
@@ -111,11 +111,22 @@ def _count_chains(monkeypatch):
     return built
 
 
-def test_structural_records_to_degree_20_validate(monkeypatch):
-    # the seeded order check reaches every stated order at n=13..20, past
-    # the oracle's MAX_DEGREE, without a full chain
+def test_record_without_transposition_validates_through_one_chain(monkeypatch):
+    # S_4 from a 4-cycle and a 3-cycle is the right group, but Jordan's
+    # theorem reads no transposition in it: the chain gives the order
+    rec = _mutated(7, "S_3 x S_4", extra=(3, 4, 5), drop=2)
+    assert [format_cycles(g) for g in rec.generators[2:]] == ["(3 4 5 6)", "(3 4 5)"]
     built = _count_chains(monkeypatch)
-    for n in range(13, 21):
+    assert _validate_record(rec) is None
+    assert built == [7]
+
+
+def test_structural_records_to_degree_20_validate(monkeypatch):
+    # Jordan's theorem certifies every stated order at n=13..40, the range
+    # `structural_records` covers, past the oracle's MAX_DEGREE, without a
+    # chain
+    built = _count_chains(monkeypatch)
+    for n in range(13, 41):
         for rec in (*structural_records(n), _alternating_record(n)):
             assert _validate_record(rec) is None, rec.label
     assert built == []
