@@ -14,15 +14,19 @@ package from its `src/`:
 - bounds: ``migsets bounds --from 5 --to 10000``;
 - search60, search70, search80: ``migsets search --n N --json``;
 - oracle_load: ``maximal_subgroups(n)`` for n=5..12, the set-up every exact
-  oracle answer pays once per degree.
+  oracle answer pays once per degree;
+- certify10000: ``build_x_family(10000)``, the ``construct --json`` payload
+  through a JSON round trip, ``family_from_members`` on the parsed members
+  and witnesses, then ``verify_x_family`` and ``verify_mig_lower_bound``.
 
 The entry records, per command, the wall seconds of every run (to the
 millisecond), their median and their spread, (max - min) / median, so that
 a gap between two entries narrower than the spread reads as unresolved;
 the largest peak RSS of a run (from `os.wait4`, so of that child alone),
 the exit code, and what the output says about the result: pytest's summary
-line for tier-1, the SHA-256 of the TSV for bounds, ``t_max=T nodes=N`` for
-a search, and ``records=55`` for the load.  Node counts and the rest do not
+line for tier-1, the SHA-256 of the TSV for bounds and of the two
+certificates for certify10000, ``t_max=T nodes=N`` for a search, and
+``records=55`` for the load.  Node counts and the rest do not
 depend on the machine, so two entries can be seen to have done the same
 work.  It also records the line count of `src/migsets/*.py`, the commit of
 the checkout (with "-dirty" when its tree has uncommitted changes), the
@@ -52,6 +56,18 @@ COMMANDS = {
         "-c",
         "from migsets.subgroup_oracle import maximal_subgroups; "
         "print(f'records={sum(len(maximal_subgroups(n)) for n in range(5, 13))}')",
+    ],
+    "certify10000": [
+        "-c",
+        "import json\n"
+        "from migsets import Partition, build_x_family, family_from_members\n"
+        "from migsets import verify_mig_lower_bound, verify_x_family\n"
+        "from migsets.cli import _family_payload\n"
+        "data = json.loads(json.dumps(_family_payload(build_x_family(10000))))\n"
+        "members = [Partition.from_text(t) for t in data['members']]\n"
+        "witnesses = {Partition.from_text(t): w for t, w in data['witnesses'].items()}\n"
+        "xf = family_from_members(members, witnesses)\n"
+        "print(json.dumps([verify_x_family(xf), verify_mig_lower_bound(xf)]))",
     ],
 }
 RUNS = 3
@@ -93,7 +109,7 @@ def src_lines(checkout):
 
 def outcome_of(name, out):
     """What a command's stdout says about the work it did."""
-    if name == "bounds":
+    if name in ("bounds", "certify10000"):
         return "sha256:" + hashlib.sha256(out).hexdigest()
     if name.startswith("search"):
         data = json.loads(out or "{}")

@@ -225,11 +225,13 @@ def witness_sets(masks, full):
 
 def _witness_map(members, wsets):
     """Each member's smallest witness; distinct when the witness sets are
-    disjoint, as the theorem above says they are."""
+    disjoint, as the theorem above says they are.  One pass hashes each
+    member once: a member's first hash computes its runs."""
+    witness = {}
     for p, w in zip(members, wsets):
         if w == 0:
             raise SearchError(f"member {p} has no witness")
-    witness = {p: _min_bit(w) for p, w in zip(members, wsets)}
+        witness[p] = _min_bit(w)
     if len(set(witness.values())) != len(witness):
         raise SearchError("witness sets overlap; theorem violated")
     return witness

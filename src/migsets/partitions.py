@@ -7,15 +7,19 @@ module carries the class-level predicates everything else is built on:
 partial-sum masks, parity, power maps, and realizability inside an
 imprimitive wreath product.
 
-A partition also knows its runs, the (value, count) pairs of its distinct
-parts, values descending.  The lemma partitions behind every certified
-family have a hundred or more parts but at most five distinct values, so
-the partial-sum DP works per run, not per part.  `Partition._from_runs`
-builds a partition from runs in any order and keeps them; `from_text`,
-`lemma_partition` and `power_type` build through it.  Partitions built
-without runs get them from `multiplicities()` on first use, which keeps
-them too.  The DP splits each run of c parts a into shifts by a, 2a, 4a,
-... and the rest (binary splitting).
+A partition's identity is its runs, the (value, count) pairs of its
+distinct parts, values descending: equality compares them and the hash
+hashes them.  The lemma partitions behind every certified family have a
+hundred or more parts but at most five distinct values, so they are
+parsed, built, hashed and compared per run, not per part.
+`Partition._from_runs` builds a partition from runs in any order, and
+`from_text` (canonical text goes straight to runs), `lemma_partition` and
+`power_type` build through it; such a partition makes its `parts` tuple
+only when it is first read, and keeps its hash.  Partitions built from
+parts (`Partition(parts)`, `enumerate_partitions`) hold `parts` as a plain
+slot and get their runs from `multiplicities()` on first use, which keeps
+them.  The DP splits each run of c parts a into shifts by a, 2a, 4a, ...
+and the rest (binary splitting).
 
 All values are immutable and every function is pure.
 """
@@ -24,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 
 # Bit-vector DP over n+1 bits is quadratic in n; this cap keeps accidental
 # huge inputs from stalling; partition text is refused past it too.
@@ -85,20 +88,16 @@ class Partition:
         count >= 0 with some count positive, in any order.  Equal values are
         merged and the merged runs kept.  The caller vouches for the pairs."""
         merged = []
-        parts = []
         n = 0
         last = None
         for value, count in sorted(runs, reverse=True):
             if count:
-                parts += [value] * count
                 n += value * count
                 if value == last:
                     count += merged.pop()[1]
                 merged.append((value, count))
                 last = value
-        p = _unchecked(tuple(parts), n)
-        _set_runs(p, tuple(merged))
-        return p
+        return _of_runs(tuple(merged), n)
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":
@@ -107,6 +106,8 @@ class Partition:
             raise PartitionError(f"partition text must be a string, got {text!r}")
         runs = []
         total = 0
+        last = DEFAULT_SUM_CAP + 1  # above every value that passes the cap
+        descending = True
         for token in text.replace(" ", "").split(","):
             # ASCII digits only: str.isdigit alone also takes other scripts'
             # digits and superscripts
@@ -131,6 +132,10 @@ class Partition:
                     f"partition text sums past the cap {DEFAULT_SUM_CAP}: {text[:40]!r}"
                 )
             runs.append((value, count))
+            descending = descending and value < last
+            last = value
+        if descending:  # canonical order: already the runs
+            return _of_runs(tuple(runs), total)
         return cls._from_runs(runs)
 
     def text(self) -> str:
@@ -150,15 +155,30 @@ class Partition:
         """(value, count) pairs, values descending: the runs, kept once known."""
         runs = self._runs
         if runs is None:
-            runs = tuple((value, len(list(run))) for value, run in groupby(self.parts))
+            runs = []
+            parts = self.parts
+            last = parts[0]
+            count = 0
+            for a in parts:
+                if a == last:
+                    count += 1
+                else:
+                    runs.append((last, count))
+                    last = a
+                    count = 1
+            runs.append((last, count))
+            runs = tuple(runs)
             _set_runs(self, runs)
         return runs
 
     def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
+        return (
+            isinstance(other, Partition)
+            and self.multiplicities() == other.multiplicities()
+        )
 
     def __hash__(self):
-        return hash(self.parts)
+        return hash(self.multiplicities())
 
     def __len__(self):
         return len(self.parts)
@@ -191,6 +211,53 @@ def _unchecked(parts, n):
     _set_mask(p, None)
     _set_text(p, None)
     _set_runs(p, None)
+    return p
+
+
+class _RunsPartition(Partition):
+    """A Partition built from its runs: its parts tuple is made on first
+    read, and its hash once.  `Partition(parts)` and `_unchecked` keep
+    `parts` a plain slot, so the partitions of the oracle and the searches
+    read it without a property call."""
+
+    __slots__ = ("_hash",)
+
+    @property
+    def parts(self):
+        parts = _get_parts(self)
+        if parts is None:
+            parts = []
+            for value, count in self._runs:
+                parts += [value] * count
+            parts = tuple(parts)
+            _set_parts(self, parts)
+        return parts
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(self._runs)
+            _set_hash(self, h)
+        return h
+
+    def __len__(self):
+        return sum([count for _, count in self._runs])
+
+
+_get_parts = Partition.parts.__get__
+_set_hash = _RunsPartition._hash.__set__
+
+
+def _of_runs(runs, n):
+    """A Partition of n from its runs, values strictly descending and counts
+    positive, its parts not yet made; the caller vouches for the runs."""
+    p = object.__new__(_RunsPartition)
+    _set_parts(p, None)
+    _set_n(p, n)
+    _set_mask(p, None)
+    _set_text(p, None)
+    _set_runs(p, runs)
+    _set_hash(p, None)
     return p
 
 
@@ -324,7 +391,7 @@ def parity(p: Partition) -> str:
     A part of length a contributes a-1 transpositions, so the permutation is
     odd iff n - (number of parts) is odd, equivalently iff the number of
     even-length parts is odd."""
-    return "odd" if (p.n - len(p.parts)) % 2 else "even"
+    return "odd" if (p.n - len(p)) % 2 else "even"
 
 
 def power_type(p: Partition, k: int) -> Partition:

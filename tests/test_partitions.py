@@ -309,10 +309,11 @@ def test_text_error_class_and_message(text, kind, token):
 
 
 @st.composite
-def scattered_text(draw):
-    """A parts list and a text for it: equal parts split over several
-    tokens, tokens shuffled, spaces put anywhere."""
-    parts = draw(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=40))
+def scattered_text(draw, parts=None):
+    """A parts list (drawn unless given) and a text for it: equal parts
+    split over several tokens, tokens shuffled, spaces put anywhere."""
+    if parts is None:
+        parts = draw(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=40))
     tokens = []
     for value, count in Counter(parts).items():
         while count:
@@ -379,6 +380,57 @@ def test_runs_constructor_merges_and_sorts(runs):
     for a in parts:
         sums |= {s + a for s in sums}
     assert {i for i in range(q.n + 1) if partial_sums(p).contains(i)} == sums
+
+
+@st.composite
+def four_builds(draw):
+    """One partition built four ways: by `Partition(parts)` from shuffled
+    parts, by `_from_runs` from split runs with zero counts mixed in, by
+    `from_text` from shuffled tokens with spaces added, and (small n) from
+    `enumerate_partitions`."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=16))
+        enumerated = draw(st.sampled_from(list(enumerate_partitions(n))))
+        parts = list(enumerated.parts)
+    else:
+        parts = draw(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=40))
+        enumerated = None
+    runs = []
+    for value, count in Counter(parts).items():
+        while count:
+            take = draw(st.integers(min_value=1, max_value=count))
+            count -= take
+            runs.append((value, take))
+        runs += [(value, 0)] * draw(st.integers(0, 1))
+    _, text = draw(scattered_text(parts))
+    builds = [
+        Partition(draw(st.permutations(parts))),
+        Partition._from_runs(draw(st.permutations(runs))),
+        Partition.from_text(text),
+    ]
+    return parts, builds + [enumerated] * (enumerated is not None)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(four_builds())
+def test_partitions_built_every_way_are_interchangeable(case):
+    parts, builds = case
+    other = Partition([*parts, 1])
+    # identity first, before any build has made its parts
+    for p in builds:
+        for q in builds:
+            assert p == q and hash(p) == hash(q)
+            assert {q: "found"}[p] == "found" and p in {q}
+        assert p != other and other not in set(builds)
+    expected = tuple(sorted(parts, reverse=True))
+    for p in builds:
+        for back in (p, pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert back == builds[0] and hash(back) == hash(builds[0])
+            assert back.parts == expected and back.n == sum(parts)
+            assert len(back) == len(parts)
+            assert parity(back) == ("odd" if (sum(parts) - len(parts)) % 2 else "even")
+            assert back.text() == builds[0].text()
+            assert partial_sums(back).bits == partial_sums(builds[0]).bits
 
 
 def test_enumerate_partitions_counts():

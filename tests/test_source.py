@@ -213,6 +213,15 @@ def test_parsed_and_lemma_partitions_are_built_from_runs(monkeypatch):
     for p in (parsed, lemma):
         assert p.multiplicities() is p._runs
         assert partial_sums(p).bits >> p.n == 1
+    # nor do they make a parts tuple until it is read: the base slot, not
+    # the property that fills it, stays empty through hashing, comparing,
+    # counting and printing
+    stored = Partition.parts.__get__
+    for p in (parsed, lemma):
+        assert hash(p) == hash(p._runs) and p == p and len(p) == sum(c for _, c in p._runs)
+        assert str(p) == p.text() and stored(p) is None
+        assert p.parts == tuple(v for v, c in p._runs for _ in range(c))
+        assert stored(p) is p.parts
 
 
 def test_one_partial_sum_dp():

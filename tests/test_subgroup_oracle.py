@@ -134,8 +134,8 @@ def test_structural_records_to_degree_20_validate(monkeypatch):
 
 def test_loading_builds_one_chain_per_primitive_record(monkeypatch):
     # the structural and alternating records are certified by their
-    # invariant and the seeded order check, so loading n=5..12 builds only
-    # the eight primitive chains
+    # invariant and Jordan's theorem (`_jordan`), so loading n=5..12 builds
+    # only the eight primitive chains
     built = _count_chains(monkeypatch)
     maximal_subgroups.cache_clear()
     assert sum(len(maximal_subgroups(n)) for n in range(5, 13)) == 55
