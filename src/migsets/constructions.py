@@ -18,6 +18,11 @@ only missing partial sums in (0, n) are i and n - i (sometimes also n/2).
 `build_x_family` assembles these into X, repairs the two known failure
 modes, and `verify_x_family` / `verify_mig_lower_bound` re-check everything
 from scratch, producing a JSON-ready certificate.
+
+The construction checks each ingredient's gaps once and keeps no
+`LemmaPartition` record of it.  A block member is its ingredient with one
+dominant part c put in front, and its mask is the ingredient's checked mask
+extended by one shift by c (`partitions._with_top_part`), not a second DP.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .partitions import (
     _check_sum_cap,
     _divisors,
     _universe,
+    _with_top_part,
     jordan_witness,
     parity,
     partial_sums,
@@ -69,9 +75,13 @@ class LemmaPartition:
     case_tag: str  # generic | n_eq_4i_plus_2 | n_eq_4i_plus_4 | eight_one
 
     def expected_missing(self):
-        if self.case_tag in ("n_eq_4i_plus_2", "eight_one"):
-            return (self.i, self.n // 2, self.n - self.i)
-        return (self.i, self.n - self.i)
+        return _expected_missing(self.i, self.n, self.case_tag)
+
+
+def _expected_missing(i, n, case_tag):
+    if case_tag in ("n_eq_4i_plus_2", "eight_one"):
+        return (i, n // 2, n - i)
+    return (i, n - i)
 
 
 def lemma_partition(i, n):
@@ -81,6 +91,13 @@ def lemma_partition(i, n):
     that every value outside {i, n-i} (plus n/2 in the 4i+2 case) remains
     reachable.
     """
+    p, tag = _lemma(i, n)
+    return LemmaPartition(i=i, n=n, p=p, case_tag=tag)
+
+
+def _lemma(i, n):
+    """`lemma_partition`'s partition, its gaps checked, and its case tag,
+    without the record."""
     if i < 1:
         raise ConstructionError(f"need i >= 1, got {i}")
     if 3 * i >= n:
@@ -104,26 +121,28 @@ def lemma_partition(i, n):
             q, r = divmod(n - 3 * i - 2, i + 1)
             runs = [(1, i - 1), (i + 1, q), (i + 2, 1), (i + 1 + r, 1)]
         tag = "eight_one" if (n, i) == (8, 1) else "generic"
-    lp = LemmaPartition(i=i, n=n, p=Partition._from_runs(runs), case_tag=tag)
-    _check_gaps(lp)
-    return lp
+    p = Partition._from_runs(runs)
+    _check_gaps(p, n, _expected_missing(i, n, tag))
+    return p, tag
 
 
-def _check_gaps(lp):
-    """Raise unless the partial sums of lp.p miss exactly the promised
-    interior values, ascending; return them.  The non-sums in 0..n, as a
-    bitmask, must equal the expected gaps (0 and n are always sums)."""
-    if lp.p.n != lp.n:
-        raise ConstructionError(f"partition sums to {lp.p.n}, not {lp.n}")
-    expected = lp.expected_missing()
-    mask = partial_sums(lp.p)
-    gaps = sum(1 << g for g in expected)
-    if (
-        ~mask.bits & ((1 << (lp.n + 1)) - 1) != gaps
-        or expected != tuple(sorted(set(expected)))
-    ):
+def _check_gaps(p, n, expected):
+    """Raise unless p partitions n and its partial sums miss exactly the
+    interior values of ``expected``, which must ascend strictly; return
+    them.  The non-sums in 0..n, as a bitmask, must equal the expected gaps
+    (0 and n are always sums)."""
+    if p.n != n:
+        raise ConstructionError(f"partition sums to {p.n}, not {n}")
+    mask = partial_sums(p)
+    gaps = 0
+    ascending = True
+    for g in expected:
+        if gaps >> g:  # an earlier gap is >= g
+            ascending = False
+        gaps |= 1 << g
+    if ~mask.bits & ((1 << (n + 1)) - 1) != gaps or not ascending:
         raise ConstructionError(
-            f"partition {lp.p} of {lp.n} misses {mask.missing_interior()}, "
+            f"partition {p} of {n} misses {mask.missing_interior()}, "
             f"expected {expected}"
         )
     return expected
@@ -131,7 +150,7 @@ def _check_gaps(lp):
 
 def verify_lemma(lp):
     """Recompute the partial-sum mask and demand exactly the promised gaps."""
-    missing = _check_gaps(lp)
+    missing = _check_gaps(lp.p, lp.n, lp.expected_missing())
     return {
         "i": lp.i,
         "n": lp.n,
@@ -164,8 +183,9 @@ class XFamily:
 def _witness_sets(members, n):
     """Return ``(common, wsets)``: the partial sums in 1..n/2 shared by every
     member, and per member the sums all the others have and it lacks."""
-    masks = [partial_sums(p).restricted_bits() for p in members]
-    return witness_sets(masks, _universe(n))
+    universe = _universe(n)
+    masks = [partial_sums(p).bits & universe for p in members]
+    return witness_sets(masks, universe)
 
 
 def _require(ok, invariant):
@@ -255,19 +275,17 @@ def _block_family(n):
     # the i=1 ingredient is replaced by the first member, so never built
     x = {1: _first_member(n)}
     for t in range(2, math.ceil(n / 3)):
-        x[t] = lemma_partition(t, n).p
+        x[t] = _lemma(t, n)[0]
     lo = math.ceil(n / 3)
     for j in range(1, m + 1):
         hi = math.floor(tvals[j - 1])
         a = alpha[j - 1]
         for t in range(lo, hi + 1):
             c = n - a - t
-            # keeps the appended part dominant and the ingredient's
-            # precondition a < (a+t)/3 satisfied
+            # keeps the appended part above every part of the ingredient
+            # (each at most t - a) and its precondition a < (a+t)/3 satisfied
             _require(c > t > 2 * a, f"{c} > {t} > 2*{a} at t={t}")
-            x[t] = Partition._from_runs(
-                lemma_partition(a, a + t).p.multiplicities() + ((c, 1),)
-            )
+            x[t] = _with_top_part(_lemma(a, a + t)[0], c)
         lo = hi + 1
     _require(sorted(x) == list(range(1, top + 1)), f"blocks cover 1..{top}")
 
@@ -417,6 +435,15 @@ def verify_mig_lower_bound(xf, *, raise_on_failure=True):
     theorem nothing else primitive), and for each block size a of n a
     member outside S_a wr S_{n/a} (nothing imprimitive).
     """
+    cert = certificate(xf, _lower_bound_checks(xf))
+    if raise_on_failure:
+        _raise_if_failed(cert, "lower-bound verification")
+    return cert
+
+
+def _lower_bound_checks(xf):
+    """The checks of `verify_mig_lower_bound`, without the certificate, for
+    callers that keep only the checks."""
     n = xf.n
     if n < MIN_DEGREE:
         raise ConstructionError(
@@ -428,10 +455,7 @@ def verify_mig_lower_bound(xf, *, raise_on_failure=True):
     else:
         checks = _replay_checks(xf)
         checks["method"] = _check(True, "proof replay")
-    cert = certificate(xf, checks)
-    if raise_on_failure:
-        _raise_if_failed(cert, "lower-bound verification")
-    return cert
+    return checks
 
 
 def _exact_oracle_checks(xf):

@@ -13,13 +13,19 @@ hashes them.  The lemma partitions behind every certified family have a
 hundred or more parts but at most five distinct values, so they are
 parsed, built, hashed and compared per run, not per part.
 `Partition._from_runs` builds a partition from runs in any order, and
-`from_text` (canonical text goes straight to runs), `lemma_partition` and
-`power_type` build through it; such a partition makes its `parts` tuple
-only when it is first read, and keeps its hash.  Partitions built from
-parts (`Partition(parts)`, `enumerate_partitions`) hold `parts` as a plain
-slot and get their runs from `multiplicities()` on first use, which keeps
-them.  The DP splits each run of c parts a into shifts by a, 2a, 4a, ...
-and the rest (binary splitting).
+`from_text`, `lemma_partition` and `power_type` build through it; such a
+partition makes its `parts` tuple only when it is first read, and keeps
+its hash.  `from_text` takes tokens in descending order straight as the
+runs, and keeps canonical input (no spaces, no leading zeros, no ``^1``)
+as the partition's text, so that text is never rendered again.
+Partitions built from parts (`Partition(parts)`, `enumerate_partitions`)
+hold `parts` as a plain slot and get their runs from `multiplicities()` on
+first use, which keeps them.  The DP splits each run of c parts a into
+shifts by a, 2a, 4a, ... and the rest (binary splitting).
+`_with_top_part` adds one part above all the others to a partition whose
+mask is known: the runs get one pair in front, and the mask is the old one
+extended by one shift, with no second DP; the block members of a certified
+family are built this way from their lemma ingredients.
 
 All values are immutable and every function is pure.
 """
@@ -108,6 +114,9 @@ class Partition:
         total = 0
         last = DEFAULT_SUM_CAP + 1  # above every value that passes the cap
         descending = True
+        # canonical text (no spaces, no leading zeros, no ^1, values strictly
+        # descending) is kept as the partition's text
+        canonical = " " not in text
         for token in text.replace(" ", "").split(","):
             # ASCII digits only: str.isdigit alone also takes other scripts'
             # digits and superscripts
@@ -118,6 +127,11 @@ class Partition:
                 and (not caret or count.isascii() and count.isdigit())
             ):
                 raise PartitionError(f"bad partition token {token!r} in {text!r}")
+            canonical = (
+                canonical
+                and value[0] != "0"
+                and (not caret or count[0] != "0" and count != "1")
+            )
             try:
                 value = int(value)
                 count = int(count) if caret else 1
@@ -134,9 +148,12 @@ class Partition:
             runs.append((value, count))
             descending = descending and value < last
             last = value
-        if descending:  # canonical order: already the runs
-            return _of_runs(tuple(runs), total)
-        return cls._from_runs(runs)
+        if not descending:
+            return cls._from_runs(runs)
+        p = _of_runs(tuple(runs), total)  # canonical order: already the runs
+        if canonical:
+            _set_text(p, text)
+        return p
 
     def text(self) -> str:
         """Canonical text: descending, exponent-compressed, e.g. ``7,5,1^3``."""
@@ -226,10 +243,9 @@ class _RunsPartition(Partition):
     def parts(self):
         parts = _get_parts(self)
         if parts is None:
-            parts = []
+            parts = ()
             for value, count in self._runs:
-                parts += [value] * count
-            parts = tuple(parts)
+                parts += (value,) * count
             _set_parts(self, parts)
         return parts
 
@@ -336,7 +352,7 @@ class PartialSumMask:
 
     def bitstring(self) -> str:
         """Length n+1, character i (from the left) is '1' iff i is a sum."""
-        return format(self.bits, f"0{self.n + 1}b")[::-1]
+        return bin(self.bits)[:1:-1].ljust(self.n + 1, "0")
 
     def is_symmetric(self) -> bool:
         s = self.bitstring()
@@ -369,16 +385,29 @@ def _kept_sums(parts, kept):
 def partial_sums(p: Partition) -> PartialSumMask:
     """Subset-sum DP over a bit vector; each part usable once per occurrence.
 
-    Each run's copies take O(log count) shifts (`_shift_copies`)."""
-    _check_sum_cap(p.n)
+    Each run's copies take O(log count) shifts (`_shift_copies`).  A mask
+    is cached only once its n has passed the cap, so a cached one is
+    returned first."""
     if p._mask is not None:
         return p._mask
+    _check_sum_cap(p.n)
     bits = 1
     for a, count in p.multiplicities():
         bits = _shift_copies(bits, a, count)
     mask = PartialSumMask(p.n, bits)
     _set_mask(p, mask)
     return mask
+
+
+def _with_top_part(p: Partition, c: int) -> Partition:
+    """p with one more part c, which must exceed every part of p: the runs
+    get (c, 1) in front, with no sort or merge, and the mask is p's
+    extended by one shift, not a second DP over every run."""
+    n = p.n + c
+    _check_sum_cap(n)
+    q = _of_runs(((c, 1),) + p.multiplicities(), n)
+    _set_mask(q, PartialSumMask(n, _shift_copies(partial_sums(p).bits, c, 1)))
+    return q
 
 
 def is_partial_sum(p: Partition, i: int) -> bool:

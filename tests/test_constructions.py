@@ -13,6 +13,7 @@ from migsets.cli import _family_payload, main
 from migsets.constructions import (
     ConstructionError,
     LemmaPartition,
+    _check_gaps,
     _replay_checks,
     build_x_family,
     family_from_members,
@@ -91,6 +92,18 @@ def test_verify_lemma_rejects_wrong_partition():
     assert partial_sums(unordered.p).missing_interior() == (3, 7)
     with pytest.raises(ConstructionError, match=r"misses \(3, 7\), expected \(7, 3\)"):
         verify_lemma(unordered)
+
+
+def test_check_gaps_rejects_repeated_or_descending_gaps():
+    p = Partition([4, 4, 1, 1])  # misses exactly 3 and 7
+    assert _check_gaps(p, 10, (3, 7)) == (3, 7)
+    # each of these sets the bits of 3 and 7 and nothing else, so only the
+    # order check can refuse it
+    for expected in ((3, 3, 7), (3, 7, 7), (7, 3), (7, 3, 3), (7, 7, 3)):
+        with pytest.raises(ConstructionError, match=re.escape(f"expected {expected}")):
+            _check_gaps(p, 10, expected)
+    with pytest.raises(ConstructionError, match="partition sums to 10, not 9"):
+        _check_gaps(p, 9, (3, 6))
 
 
 FAMILY_FROZEN = {
@@ -184,6 +197,23 @@ def test_build_block_bookkeeping_n96():
     )
     assert xf.z == Partition([50] + [1] * 46)
     assert xf.members[-1] == xf.z
+
+
+def test_member_masks_match_a_fresh_dp():
+    # a block member's mask extends its ingredient's by one shift; check it
+    # against the per-part DP of a partition rebuilt from its parts, over
+    # both repair cases (case 2 at n = 6*2^m: 24, 48, 96, 192)
+    repairs = {}
+    for n in range(13, 301):
+        xf = build_x_family(n)
+        repairs.setdefault(xf.repair_case, []).append(n)
+        for p in xf.members:
+            assert partial_sums(p) == partial_sums(Partition(p.parts)), (n, p)
+            values = [value for value, _ in p._runs]
+            assert values == sorted(set(values), reverse=True), (n, p._runs)
+            assert all(count >= 1 for _, count in p._runs)
+    assert repairs["case2_rebuilt"] == [24, 48, 96, 192]
+    assert len(repairs["case1_z_added"]) == 288 - 4
 
 
 FIRST_MEMBER_FROZEN = {

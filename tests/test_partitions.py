@@ -309,6 +309,42 @@ def test_text_error_class_and_message(text, kind, token):
 
 
 @st.composite
+def spelled_runs(draw):
+    """Runs with distinct values, descending, and a text for them whose
+    tokens may have spaces, leading zeros or a ^1, in an order that may be
+    shuffled."""
+    values = draw(st.lists(st.integers(1, 60), min_size=1, max_size=6, unique=True))
+    runs = [(value, draw(st.integers(1, 12))) for value in sorted(values, reverse=True)]
+    tokens = []
+    for value, count in runs:
+        token = "0" * draw(st.sampled_from([0, 0, 0, 1, 2])) + str(value)
+        if count > 1 or draw(st.sampled_from([False, False, False, True])):
+            token += "^" + "0" * draw(st.sampled_from([0, 0, 0, 1])) + str(count)
+        tokens.append(token)
+    if draw(st.sampled_from([False, False, True])):
+        tokens = draw(st.permutations(tokens))
+    text = ",".join(tokens)
+    if draw(st.sampled_from([False, False, False, True])):
+        spot = draw(st.integers(0, len(text)))
+        text = text[:spot] + " " + text[spot:]
+    return tuple(runs), text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(spelled_runs())
+def test_text_is_kept_exactly_when_canonical(case):
+    runs, text = case
+    canonical = ",".join(f"{v}^{c}" if c > 1 else f"{v}" for v, c in runs)
+    p = Partition.from_text(text)
+    kept = p._text
+    assert p.multiplicities() == runs
+    assert p.text() == canonical
+    assert (kept is not None) == (text == canonical)
+    assert kept is None or kept is text
+    assert p == Partition(list(p.parts))
+
+
+@st.composite
 def scattered_text(draw, parts=None):
     """A parts list (drawn unless given) and a text for it: equal parts
     split over several tokens, tokens shuffled, spaces put anywhere."""
