@@ -120,6 +120,8 @@ def _load_family(path):
         and isinstance(data.get("witnesses", {}), dict)
     ):
         raise TypeError("expected an object with a member list and a witness map")
+    if "n" in data and type(data["n"]) is not int:
+        raise ConstructionError(f"n must be an integer, got {data['n']!r}")
     texts = data["members"]
     members = [Partition.from_text(t) for t in texts]
     witnesses = None
@@ -283,8 +285,9 @@ def _cmd_repro(args):
             numbers = {int(tok) for tok in args.only.split(",")}
         except ValueError as exc:
             raise UsageError(f"bad criterion list {args.only!r}") from exc
-        if not numbers & {number for number, _ in ALL_CRITERIA}:
-            raise UsageError(f"no criteria match {args.only!r}")
+        unknown = sorted(numbers - {number for number, _ in ALL_CRITERIA})
+        if unknown:
+            raise UsageError(f"no criteria match {','.join(map(str, unknown))!r}")
     with _open_output(args.output) as fh:  # refuse a bad path before the run
         results = run_acceptance(numbers)
         ok = all(r.acceptable for r in results)

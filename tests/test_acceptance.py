@@ -157,6 +157,23 @@ def test_criterion_that_raises_is_a_fail_line(monkeypatch, capsys):
 def test_criterion_8_partial_sums():
     r = acceptance.criterion_8_sums()
     assert r.passed, r.detail
+    assert r.detail == "10000 random partitions, 0 mismatches"
+
+
+def test_criterion_8_catches_a_wrong_partial_sum_dp(monkeypatch):
+    # a DP that drops the full sum n on every seventh degree is a mismatch
+    # on those samples only, counted in the detail
+    from migsets.partitions import PartialSumMask, partial_sums
+
+    def drops_n(p):
+        bits = partial_sums(p).bits
+        return PartialSumMask(p.n, bits & ~(1 << p.n) if p.n % 7 == 0 else bits)
+
+    monkeypatch.setattr(acceptance, "partial_sums", drops_n)
+    r = acceptance.criterion_8_sums()
+    assert not r.passed and not r.expected_failure
+    total, mismatches = (int(w) for w in r.detail.split() if w.isdigit())
+    assert total == acceptance.SUM_SAMPLES and 0 < mismatches < total, r.detail
 
 
 def test_run_selection():

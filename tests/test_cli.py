@@ -286,6 +286,7 @@ def test_verify_rejects_malformed_witness_map_and_duplicates(tmp_path, capsys):
 
 
 NOT_A_FAMILY = "error: cannot read family: expected an object with a member list and a witness map\n"
+BAD_N = "error: malformed family: n must be an integer, got "
 
 
 @pytest.mark.parametrize(
@@ -298,12 +299,24 @@ NOT_A_FAMILY = "error: cannot read family: expected an object with a member list
             {"n": 5, "members": ["4,1", "3,2"], "witnesses": {"4,1": 1}},
             "error: malformed family: witness keys do not match the member list\n",
         ),
+        ({"n": True, "members": ["1"]}, BAD_N + "True\n"),
+        ({"n": 13.0, "members": ["13"]}, BAD_N + "13.0\n"),
+        ({"n": "13", "members": ["13"]}, BAD_N + "'13'\n"),
     ],
-    ids=["string-members", "map-members", "no-members", "missing-witness"],
+    ids=[
+        "string-members",
+        "map-members",
+        "no-members",
+        "missing-witness",
+        "bool-n",
+        "float-n",
+        "string-n",
+    ],
 )
 def test_verify_names_a_bad_member_list_or_witness_map(tmp_path, capsys, family, err):
     # a member list that is not a list is not iterated as one, and no
-    # KeyError repr reaches the message
+    # KeyError repr reaches the message; n is refused unless it is an
+    # integer, like a witness, so true does not pass for 1 nor 13.0 for 13
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(family))
     assert main(["verify", str(path)]) == 2
@@ -680,6 +693,9 @@ def test_repro_bad_selection(capsys):
         assert "bad criterion list" in capsys.readouterr().err
     assert main(["repro", "--only", "99"]) == 2
     assert capsys.readouterr().err == "error: no criteria match '99'\n"
+    # one unknown number refuses the list, before any criterion runs
+    assert main(["repro", "--only", "6,99"]) == 2
+    assert capsys.readouterr() == ("", "error: no criteria match '99'\n")
 
 
 @pytest.mark.parametrize(
