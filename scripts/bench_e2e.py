@@ -13,6 +13,8 @@ package from its `src/`:
 - repro: ``migsets repro``;
 - bounds: ``migsets bounds --from 5 --to 10000``;
 - search60, search70, search80: ``migsets search --n N --json``;
+- search_desc40: ``migsets search --descriptors --n 40 --json``, the
+  descriptor search at its degree cap;
 - oracle_load: ``maximal_subgroups(n)`` for n=5..12, the set-up every exact
   oracle answer pays once per degree;
 - certify10000: ``build_x_family(10000)``, the ``construct --json`` payload
@@ -52,6 +54,7 @@ COMMANDS = {
     "repro": ["-c", CLI, "repro"],
     "bounds": ["-c", CLI, "bounds", "--from", "5", "--to", "10000"],
     **{f"search{n}": ["-c", CLI, "search", "--n", str(n), "--json"] for n in (60, 70, 80)},
+    "search_desc40": ["-c", CLI, "search", "--descriptors", "--n", "40", "--json"],
     "oracle_load": [
         "-c",
         "from migsets.subgroup_oracle import maximal_subgroups; "

@@ -64,9 +64,9 @@ still groups every partition, to degree 40: `iter_families` and
 The descriptor search, `subgroup_oracle.max_family_intransitive_imprimitive`,
 runs `_search` on the vectors of the intransitive and imprimitive maximal
 subgroups each class meets.  Its wreath bits depend on the whole partition,
-not on a mask state, so `vector_groups` walks the parts tuples of every
-partition and keeps the last tuple per vector (the lexicographically
-smallest), building no `Partition`.
+not on a mask state, so `vector_groups` keeps the last parts tuple per
+vector (the lexicographically smallest) over one walk of all partitions,
+`partitions._walk_partitions`, which `enumerate_masks` groups on too.
 
 Both properties are read off one kernel, `witness_sets(masks, full)`: the
 AND of the masks, and per mask the bits every other mask has and it lacks.
@@ -84,11 +84,10 @@ from dataclasses import dataclass, field
 
 from .partitions import (
     DEFAULT_ENUMERATION_CAP,
-    _kept_sums,
-    _partition_tuples,
     _shift_copies,
     _unchecked,
     _universe,
+    _walk_partitions,
 )
 
 
@@ -134,12 +133,18 @@ def _by_popcount(items):
     return sorted(items, key=lambda kv: (kv[0].bit_count(), kv[0]))
 
 
-def vector_groups(n, vector):
-    """``(bits, parts)`` for each value of ``vector(parts)`` over the
-    partitions of n, ordered by popcount then bits, with the parts tuple of
-    the lexicographically smallest partition: the last in enumeration order,
-    so the last wins."""
-    return _by_popcount({vector(parts): parts for parts in _partition_tuples(n)}.items())
+def vector_groups(n, window, vector):
+    """``(bits, parts)`` for each value of ``vector(parts, sums)``, sums the
+    partial sums in 0..window, over the partitions of n, ordered by popcount
+    then bits, with the parts tuple of the lexicographically smallest
+    partition: the last in enumeration order, so the last wins."""
+    groups = {}
+
+    def visit(parts, sums):
+        groups[vector(parts, sums)] = parts
+
+    _walk_partitions(n, window, visit)
+    return _by_popcount(groups.items())
 
 
 def enumerate_masks(n):
@@ -151,8 +156,11 @@ def enumerate_masks(n):
     _check_degree(n, low=2, high=DEFAULT_ENUMERATION_CAP, what=what)
     half = _universe(n)
     groups = {}
-    for parts in _partition_tuples(n):
-        groups.setdefault(_kept_sums(parts, half | 1) & half, []).append(parts)
+
+    def visit(parts, sums):
+        groups.setdefault(sums & half, []).append(parts)
+
+    _walk_partitions(n, n // 2, visit)
     return [
         (bits, tuple(_unchecked(parts, n) for parts in reversed(ps)))
         for bits, ps in _by_popcount(groups.items())

@@ -291,7 +291,7 @@ def _check_sum_cap(n: int) -> None:
 def _partition_tuples(n: int):
     """Yield the parts tuples of all partitions of n in reverse-lexicographic
     order, unchecked: the one enumeration loop, which `enumerate_partitions`
-    wraps and the searches walk without building a `Partition` each."""
+    and `wreath_types` read; the searches group on `_walk_partitions`."""
     # Each step lowers the last part x > 1 by one and refills the tail with
     # copies of x - 1 and a remainder: the next partition in this order.
     parts = [n]
@@ -374,12 +374,32 @@ def _shift_copies(bits, a, count):
 
 def _kept_sums(parts, kept):
     """The partial sums of a parts tuple within the bits of ``kept``, a
-    window 0..k: one shift-or per part, for the searches, which walk parts
-    tuples without building a `Partition`."""
+    window 0..k: one shift-or per part, for one tuple (the oracle's class
+    vectors); `_walk_partitions` carries them for every partition."""
     s = 1
     for a in parts:
         s |= s << a & kept
     return s
+
+
+def _walk_partitions(n, window, visit):
+    """Call ``visit(parts, sums)`` on every parts tuple of n, in the order
+    of `_partition_tuples`, with its `_kept_sums` in 0..window: a DFS over
+    the parts, largest first, that carries each prefix's sums, so a
+    partition costs one shift-or, and a tail of ones one `_shift_copies`."""
+    kept = (1 << window + 1) - 1
+
+    def rec(prefix, left, top, sums):
+        # prefix has partial sums `sums` and leaves `left` for parts <= top
+        for a in range(top if top < left else left, 1, -1):
+            s = (sums | sums << a) & kept
+            if a == left:
+                visit(prefix + (a,), s)
+            else:
+                rec(prefix + (a,), left - a, a, s)
+        visit(prefix + (1,) * left, _shift_copies(sums, 1, left) & kept)
+
+    rec((), n, n, 1)
 
 
 def partial_sums(p: Partition) -> PartialSumMask:

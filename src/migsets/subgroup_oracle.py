@@ -15,11 +15,11 @@ primitive record builds its deterministic chain, for its order and cycle
 types, and must be primitive and hold an odd generator.
 
 Which structural records a class meets is one function of its parts tuple
-per degree, `structural_vector(n)`: a shift-or over the parts for the
-partial sums (`partitions._kept_sums`), and one lookup in a {parts: bits} dict built from
-`wreath_types` for the block stabilizers.  The descriptor search groups the
-partitions by it (`family_search.vector_groups`) and runs
-`family_search._search` on the groups.
+per degree, `structural_vector(n)`: the partial sums, which the descriptor
+search's walk carries and `partitions._kept_sums` makes for one class, and
+one lookup in a {parts: bits} dict built from `wreath_types` for the block
+stabilizers.  The descriptor search groups the partitions by it
+(`family_search.vector_groups`) and runs `family_search._search` on them.
 The alternating group is decided by parity and a primitive group by the
 cycle-type set its record carries (enumerated once, when `maximal_subgroups`
 loads the record, from the chain that validated it; all have order at most
@@ -255,10 +255,10 @@ def structural_records(n):
 
 @lru_cache(maxsize=None)
 def structural_vector(n):
-    """The function parts -> bitmask of the `structural_records(n)` that the
-    class of that parts tuple meets: bit s - 1 when s is a partial sum, by a
-    shift-or kept to sums 0..(n-1)//2, and the bits of the block shapes
-    whose `wreath_types` hold the tuple, one dict built once per degree."""
+    """The function (parts, sums) -> bitmask of the `structural_records(n)`
+    the class meets: bit s - 1 when s is in sums, its partial sums in
+    0..(n-1)//2 (a shift-or per part if not given), and the bits of the block
+    shapes whose `wreath_types` hold parts, from one dict built per degree."""
     records = structural_records(n)
     k = (n - 1) // 2  # records[:k] are S_s x S_{n-s} for s = 1..k
     kept = (1 << (k + 1)) - 1
@@ -268,8 +268,9 @@ def structural_vector(n):
             blocks[parts] = blocks.get(parts, 0) | 1 << i
     get = blocks.get
 
-    def vector(parts):
-        return _kept_sums(parts, kept) >> 1 | get(parts, 0)
+    def vector(parts, sums=None):
+        sums = _kept_sums(parts, kept) if sums is None else sums
+        return sums >> 1 | get(parts, 0)
 
     return vector
 
@@ -283,7 +284,7 @@ def max_family_intransitive_imprimitive(n):
     records = structural_records(n)
     full = (1 << len(records)) - 1
     descriptors = tuple((rec.kind, *rec.param) for rec in records)
-    groups = vector_groups(n, structural_vector(n))
+    groups = vector_groups(n, (n - 1) // 2, structural_vector(n))
     return replace(_search(n, groups, full), descriptors=descriptors)
 
 

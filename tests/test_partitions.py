@@ -27,6 +27,9 @@ from migsets.partitions import (
     Partition,
     PartitionError,
     PartitionTooLarge,
+    _kept_sums,
+    _partition_tuples,
+    _walk_partitions,
     enumerate_partitions,
     is_partial_sum,
     jordan_witness,
@@ -503,6 +506,18 @@ def test_enumerated_partitions_are_checked_partitions():
 def test_enumerate_partitions_cap():
     with pytest.raises(PartitionTooLarge):
         list(enumerate_partitions(41))
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_walk_matches_parts_tuples_and_kept_sums(n):
+    # the walk visits the tuples of `_partition_tuples` in its order, each
+    # with the partial sums that `_kept_sums` gives within the window, for
+    # the descriptor window (n-1)//2 and the mask window n//2
+    for window in ((n - 1) // 2, n // 2):
+        kept = (1 << window + 1) - 1
+        visited = []
+        _walk_partitions(n, window, lambda parts, sums: visited.append((parts, sums)))
+        assert visited == [(parts, _kept_sums(parts, kept)) for parts in _partition_tuples(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -321,9 +321,11 @@ def test_one_bisection_in_bounds():
 
 
 def test_descriptor_path_walks_parts_tuples(monkeypatch):
-    # the descriptor vectors come from parts tuples, from the one
-    # enumeration loop: no Partition per partition, no partial-sum DP, and
-    # no second copy of the reverse-lexicographic refill step
+    # the descriptor vectors and the mask groups come from parts tuples, from
+    # the one walk of the partitions, which carries each prefix's partial
+    # sums: no Partition per partition, no partial-sum DP, no shift-or per
+    # part of a tuple, and no second copy of the reverse-lexicographic
+    # refill step of `_partition_tuples`
     from migsets import family_search, partitions, subgroup_oracle
 
     def refuse(*args):
@@ -333,7 +335,14 @@ def test_descriptor_path_walks_parts_tuples(monkeypatch):
         monkeypatch.setattr(module, "enumerate_partitions", refuse, raising=False)
         monkeypatch.setattr(module, "partial_sums", refuse, raising=False)
     subgroup_oracle.structural_vector.cache_clear()
-    assert subgroup_oracle.max_family_intransitive_imprimitive(16).t_max == DESCRIPTOR_T[16]
+    with monkeypatch.context() as patch:
+        for module in (family_search, subgroup_oracle):
+            patch.setattr(module, "_kept_sums", refuse, raising=False)
+        r = subgroup_oracle.max_family_intransitive_imprimitive(16)
+        groups = family_search.enumerate_masks(16)
+    assert r.t_max == DESCRIPTOR_T[16]
+    # the mask-state DP reaches the same groups and first representatives
+    assert [(bits, ps[0].parts) for bits, ps in groups] == family_search.mask_groups(16)
     refills = [
         f"{path.name}:{k}"
         for path in sorted((ROOT / "src" / "migsets").glob("*.py"))

@@ -10,7 +10,7 @@ import itertools
 
 import pytest
 
-from migsets.partitions import Partition, enumerate_partitions, parity
+from migsets.partitions import Partition, _partition_tuples, enumerate_partitions, parity
 from migsets import subgroup_oracle
 from migsets.perms import PermGroup, cycle_type, format_cycles, from_cycles, is_primitive
 from migsets.subgroup_oracle import (
@@ -397,9 +397,20 @@ def test_structural_vector_matches_class_meets_subgroup(n):
         reference.setdefault(want, []).append(p.parts)
     order = sorted(reference, key=lambda bits: (bin(bits).count("1"), bits))
     expected = [(bits, min(reference[bits])) for bits in order]
-    got = vector_groups(n, vector)
+    got = vector_groups(n, (n - 1) // 2, vector)
     assert got == expected
     assert all(sum(parts) == n for _, parts in got)
+
+
+def test_vector_groups_match_per_tuple_grouping_to_30():
+    # past the degrees checked record by record above: the walk's groups,
+    # order and representatives included, against the vector of each parts
+    # tuple on its own, grouped with the last tuple winning
+    for n in range(23, 31):
+        vector = structural_vector(n)
+        by_tuple = {vector(parts): parts for parts in _partition_tuples(n)}
+        expected = sorted(by_tuple.items(), key=lambda kv: (bin(kv[0]).count("1"), kv[0]))
+        assert vector_groups(n, (n - 1) // 2, vector) == expected, n
 
 
 def test_equal_classes_share_one_cache_entry():
