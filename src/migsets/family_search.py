@@ -133,9 +133,9 @@ def _by_popcount(items):
     return sorted(items, key=lambda kv: (kv[0].bit_count(), kv[0]))
 
 
-def vector_groups(n, window, vector):
+def vector_groups(n, vector):
     """``(bits, parts)`` for each value of ``vector(parts, sums)``, sums the
-    partial sums in 0..window, over the partitions of n, ordered by popcount
+    partial sums in 0..n//2, over the partitions of n, ordered by popcount
     then bits, with the parts tuple of the lexicographically smallest
     partition: the last in enumeration order, so the last wins."""
     groups = {}
@@ -143,7 +143,7 @@ def vector_groups(n, window, vector):
     def visit(parts, sums):
         groups[vector(parts, sums)] = parts
 
-    _walk_partitions(n, window, visit)
+    _walk_partitions(n, n // 2, visit)
     return _by_popcount(groups.items())
 
 

@@ -289,25 +289,12 @@ def _check_sum_cap(n: int) -> None:
 
 
 def _partition_tuples(n: int):
-    """Yield the parts tuples of all partitions of n in reverse-lexicographic
-    order, unchecked: the one enumeration loop, which `enumerate_partitions`
-    and `wreath_types` read; the searches group on `_walk_partitions`."""
-    # Each step lowers the last part x > 1 by one and refills the tail with
-    # copies of x - 1 and a remainder: the next partition in this order.
-    parts = [n]
-    while True:
-        yield tuple(parts)
-        ones = 0
-        while parts and parts[-1] == 1:
-            parts.pop()
-            ones += 1
-        if not parts:
-            return
-        x = parts.pop() - 1
-        q, r = divmod(x + ones + 1, x)
-        parts.extend([x] * q)
-        if r:
-            parts.append(r)
+    """The parts tuples of all partitions of n in reverse-lexicographic
+    order, unchecked: the tuples `_walk_partitions` visits at window 0, for
+    `enumerate_partitions` and `wreath_types`."""
+    tuples = []
+    _walk_partitions(n, 0, lambda parts, sums: tuples.append(parts))
+    return tuples
 
 
 def enumerate_partitions(n: int):
@@ -383,8 +370,9 @@ def _kept_sums(parts, kept):
 
 
 def _walk_partitions(n, window, visit):
-    """Call ``visit(parts, sums)`` on every parts tuple of n, in the order
-    of `_partition_tuples`, with its `_kept_sums` in 0..window: a DFS over
+    """Call ``visit(parts, sums)`` on every parts tuple of n in
+    reverse-lexicographic order, (n) first and (1^n) last, with its
+    `_kept_sums` in 0..window: the one enumeration of partitions, a DFS over
     the parts, largest first, that carries each prefix's sums, so a
     partition costs one shift-or, and a tail of ones one `_shift_copies`."""
     kept = (1 << window + 1) - 1
@@ -558,7 +546,7 @@ def wreath_types(a: int, b: int) -> set:
         raise PartitionTooLarge(
             f"wreath types capped at n={DEFAULT_ENUMERATION_CAP}, got {a}*{b}"
         )
-    shapes = list(_partition_tuples(a))
+    shapes = _partition_tuples(a)
     levels = [{()}] + [set() for _ in range(b)]
     for m in range(1, b + 1):
         for lam in shapes:

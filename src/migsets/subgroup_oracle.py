@@ -256,9 +256,10 @@ def structural_records(n):
 @lru_cache(maxsize=None)
 def structural_vector(n):
     """The function (parts, sums) -> bitmask of the `structural_records(n)`
-    the class meets: bit s - 1 when s is in sums, its partial sums in
-    0..(n-1)//2 (a shift-or per part if not given), and the bits of the block
-    shapes whose `wreath_types` hold parts, from one dict built per degree."""
+    the class meets: bit s - 1 when s in 1..(n-1)//2 is in sums, its partial
+    sums in any window that covers these (a shift-or per part if not given),
+    and the bits of the block shapes whose `wreath_types` hold parts, from
+    one dict built per degree."""
     records = structural_records(n)
     k = (n - 1) // 2  # records[:k] are S_s x S_{n-s} for s = 1..k
     kept = (1 << (k + 1)) - 1
@@ -269,7 +270,7 @@ def structural_vector(n):
     get = blocks.get
 
     def vector(parts, sums=None):
-        sums = _kept_sums(parts, kept) if sums is None else sums
+        sums = _kept_sums(parts, kept) if sums is None else sums & kept
         return sums >> 1 | get(parts, 0)
 
     return vector
@@ -284,7 +285,7 @@ def max_family_intransitive_imprimitive(n):
     records = structural_records(n)
     full = (1 << len(records)) - 1
     descriptors = tuple((rec.kind, *rec.param) for rec in records)
-    groups = vector_groups(n, (n - 1) // 2, structural_vector(n))
+    groups = vector_groups(n, structural_vector(n))
     return replace(_search(n, groups, full), descriptors=descriptors)
 
 

@@ -510,14 +510,24 @@ def test_enumerate_partitions_cap():
 
 @pytest.mark.parametrize("n", range(1, 31))
 def test_walk_matches_parts_tuples_and_kept_sums(n):
-    # the walk visits the tuples of `_partition_tuples` in its order, each
-    # with the partial sums that `_kept_sums` gives within the window, for
-    # the descriptor window (n-1)//2 and the mask window n//2
-    for window in ((n - 1) // 2, n // 2):
+    # the walk visits every partition once, in reverse-lexicographic order,
+    # each with the partial sums that `_kept_sums` gives within the window:
+    # the listing window 0, the descriptor window (n-1)//2 and the mask
+    # window n//2; p(n) comes from the coin-change count
+    counts = [1] + [0] * n
+    for a in range(1, n + 1):
+        for m in range(a, n + 1):
+            counts[m] += counts[m - a]
+    for window in (0, (n - 1) // 2, n // 2):
         kept = (1 << window + 1) - 1
         visited = []
         _walk_partitions(n, window, lambda parts, sums: visited.append((parts, sums)))
-        assert visited == [(parts, _kept_sums(parts, kept)) for parts in _partition_tuples(n)]
+        tuples = [parts for parts, _ in visited]
+        assert len(tuples) == counts[n] and tuples == sorted(set(tuples), reverse=True)
+        assert all(sum(t) == n and list(t) == sorted(t, reverse=True) for t in tuples)
+        assert tuples[0] == (n,) and tuples[-1] == (1,) * n
+        assert visited == [(parts, _kept_sums(parts, kept)) for parts in tuples]
+        assert _partition_tuples(n) == tuples
 
 
 # ---------------------------------------------------------------------------

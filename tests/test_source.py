@@ -324,8 +324,7 @@ def test_descriptor_path_walks_parts_tuples(monkeypatch):
     # the descriptor vectors and the mask groups come from parts tuples, from
     # the one walk of the partitions, which carries each prefix's partial
     # sums: no Partition per partition, no partial-sum DP, no shift-or per
-    # part of a tuple, and no second copy of the reverse-lexicographic
-    # refill step of `_partition_tuples`
+    # part of a tuple, and no second enumerator of the partitions
     from migsets import family_search, partitions, subgroup_oracle
 
     def refuse(*args):
@@ -343,10 +342,15 @@ def test_descriptor_path_walks_parts_tuples(monkeypatch):
     assert r.t_max == DESCRIPTOR_T[16]
     # the mask-state DP reaches the same groups and first representatives
     assert [(bits, ps[0].parts) for bits, ps in groups] == family_search.mask_groups(16)
-    refills = [
-        f"{path.name}:{k}"
+    # `_walk_partitions` is the one enumerator: defined once, and the tuples
+    # `enumerate_partitions` and `wreath_types` read are its visits
+    walks = [
+        path.name
         for path in sorted((ROOT / "src" / "migsets").glob("*.py"))
-        for k, line in enumerate(path.read_text().splitlines(), 1)
-        if "divmod(x + ones + 1, x)" in line
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "_walk_partitions"
     ]
-    assert len(refills) == 1 and refills[0].startswith("partitions.py:"), refills
+    assert walks == ["partitions.py"], walks
+    seen = []
+    monkeypatch.setattr(partitions, "_walk_partitions", lambda n, window, visit: seen.append(n))
+    assert partitions._partition_tuples(7) == [] and seen == [7]

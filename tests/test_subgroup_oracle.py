@@ -397,7 +397,7 @@ def test_structural_vector_matches_class_meets_subgroup(n):
         reference.setdefault(want, []).append(p.parts)
     order = sorted(reference, key=lambda bits: (bin(bits).count("1"), bits))
     expected = [(bits, min(reference[bits])) for bits in order]
-    got = vector_groups(n, (n - 1) // 2, vector)
+    got = vector_groups(n, vector)
     assert got == expected
     assert all(sum(parts) == n for _, parts in got)
 
@@ -410,7 +410,7 @@ def test_vector_groups_match_per_tuple_grouping_to_30():
         vector = structural_vector(n)
         by_tuple = {vector(parts): parts for parts in _partition_tuples(n)}
         expected = sorted(by_tuple.items(), key=lambda kv: (bin(kv[0]).count("1"), kv[0]))
-        assert vector_groups(n, (n - 1) // 2, vector) == expected, n
+        assert vector_groups(n, vector) == expected, n
 
 
 def test_equal_classes_share_one_cache_entry():
