@@ -15,6 +15,8 @@ package from its `src/`:
 - search60, search70, search80: ``migsets search --n N --json``;
 - search_desc40: ``migsets search --descriptors --n 40 --json``, the
   descriptor search at its degree cap;
+- search_desc_sweep: the descriptor search for n=5..40 in one interpreter,
+  whose peak RSS shows what the process keeps per degree searched;
 - oracle_load: ``maximal_subgroups(n)`` for n=5..12, the set-up every exact
   oracle answer pays once per degree;
 - certify10000: ``build_x_family(10000)``, the ``construct --json`` payload
@@ -27,7 +29,8 @@ a gap between two entries narrower than the spread reads as unresolved;
 the largest peak RSS of a run (from `os.wait4`, so of that child alone),
 the exit code, and what the output says about the result: pytest's summary
 line for tier-1, the SHA-256 of the TSV for bounds and of the two
-certificates for certify10000, ``t_max=T nodes=N`` for a search, and
+certificates for certify10000, ``t_max=T nodes=N`` for a search,
+``t_desc=[T5, ..., T40] nodes=N`` (N summed) for the sweep, and
 ``records=55`` for the load.  Node counts and the rest do not
 depend on the machine, so two entries can be seen to have done the same
 work.  It also records the line count of `src/migsets/*.py`, the commit of
@@ -55,6 +58,12 @@ COMMANDS = {
     "bounds": ["-c", CLI, "bounds", "--from", "5", "--to", "10000"],
     **{f"search{n}": ["-c", CLI, "search", "--n", str(n), "--json"] for n in (60, 70, 80)},
     "search_desc40": ["-c", CLI, "search", "--descriptors", "--n", "40", "--json"],
+    "search_desc_sweep": [
+        "-c",
+        "from migsets.subgroup_oracle import max_family_intransitive_imprimitive as search\n"
+        "rs = [search(n) for n in range(5, 41)]\n"
+        "print(f't_desc={[r.t_max for r in rs]} nodes={sum(r.nodes_explored for r in rs)}')",
+    ],
     "oracle_load": [
         "-c",
         "from migsets.subgroup_oracle import maximal_subgroups; "
@@ -114,7 +123,7 @@ def outcome_of(name, out):
     """What a command's stdout says about the work it did."""
     if name in ("bounds", "certify10000"):
         return "sha256:" + hashlib.sha256(out).hexdigest()
-    if name.startswith("search"):
+    if name.startswith("search") and name != "search_desc_sweep":
         data = json.loads(out or "{}")
         return f"t_max={data.get('t_max')} nodes={data.get('nodes_explored')}"
     lines = out.decode("utf-8", "replace").strip().splitlines()

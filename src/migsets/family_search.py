@@ -122,6 +122,8 @@ class SearchResult:
 
 
 def _check_degree(n, *, low, high, what):
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise SearchError(f"degree must be an integer, got {n!r}")
     if n < low:
         raise SearchError(f"need n >= {low}, got {n}")
     if n > high:

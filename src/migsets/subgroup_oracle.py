@@ -20,6 +20,11 @@ search's walk carries and `partitions._kept_sums` makes for one class, and
 one lookup in a {parts: bits} dict built from `wreath_types` for the block
 stabilizers.  The descriptor search groups the partitions by it
 (`family_search.vector_groups`) and runs `family_search._search` on them.
+Each path keeps one object per degree: the oracle (n <= 12) the cached
+vector, whose dict `_parts_mask` reads, and the descriptor search only the
+tuple of groups, `structural_groups(n)`, built on a fresh vector whose dict
+is dropped after the walk (0.5 MB of groups against 7.3 MB of vector at
+n=40), so a repeated search at a degree skips the walk.
 The alternating group is decided by parity and a primitive group by the
 cycle-type set its record carries (enumerated once, when `maximal_subgroups`
 loads the record, from the chain that validated it; all have order at most
@@ -259,7 +264,7 @@ def structural_vector(n):
     the class meets: bit s - 1 when s in 1..(n-1)//2 is in sums, its partial
     sums in any window that covers these (a shift-or per part if not given),
     and the bits of the block shapes whose `wreath_types` hold parts, from
-    one dict built per degree."""
+    one dict built per degree.  Cached for the oracle's `_parts_mask`."""
     records = structural_records(n)
     k = (n - 1) // 2  # records[:k] are S_s x S_{n-s} for s = 1..k
     kept = (1 << (k + 1)) - 1
@@ -276,6 +281,14 @@ def structural_vector(n):
     return vector
 
 
+@lru_cache(maxsize=None)
+def structural_groups(n):
+    """The descriptor search's ``(bits, parts)`` groups of degree n, as a
+    tuple: `vector_groups` over a fresh `structural_vector(n)`, not the
+    cached one, so its {parts: bits} dict goes once the walk is done."""
+    return tuple(vector_groups(n, structural_vector.__wrapped__(n)))
+
+
 def max_family_intransitive_imprimitive(n):
     """Largest family of classes each privately avoiding one intransitive or
     imprimitive maximal subgroup while meeting all the others' (the analogue
@@ -285,8 +298,7 @@ def max_family_intransitive_imprimitive(n):
     records = structural_records(n)
     full = (1 << len(records)) - 1
     descriptors = tuple((rec.kind, *rec.param) for rec in records)
-    groups = vector_groups(n, structural_vector(n))
-    return replace(_search(n, groups, full), descriptors=descriptors)
+    return replace(_search(n, structural_groups(n), full), descriptors=descriptors)
 
 
 @lru_cache(maxsize=None)

@@ -67,3 +67,13 @@ def test_bench_entry(tmp_path, monkeypatch, capsys):
         bench.main(["--label", "x", "--checkout", str(tmp_path), "--out", str(out)])
     assert exc.value.code == 2
     assert "no src/migsets package" in capsys.readouterr().err
+
+
+def test_descriptor_sweep_outcome_is_its_printed_line():
+    # the sweep prints its own outcome; the single searches print JSON
+    bench = _load_bench()
+    assert "range(5, 41)" in bench.COMMANDS["search_desc_sweep"][1]
+    line = b"t_desc=[2, 3, 3] nodes=11\n"
+    assert bench.outcome_of("search_desc_sweep", line) == "t_desc=[2, 3, 3] nodes=11"
+    search = b'{"t_max": 2, "nodes_explored": 3}'
+    assert bench.outcome_of("search_desc40", search) == "t_max=2 nodes=3"

@@ -419,6 +419,7 @@ def test_search_refuses_degree_before_work(argv, message, capsys, monkeypatch):
     monkeypatch.setattr(family_search, "mask_groups", refuse)
     monkeypatch.setattr(subgroup_oracle, "structural_records", refuse)
     monkeypatch.setattr(subgroup_oracle, "vector_groups", refuse)
+    monkeypatch.setattr(subgroup_oracle, "structural_groups", refuse)
     assert main(["search", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -682,11 +682,45 @@ def test_descriptor_search_builds_wreath_types_once(monkeypatch):
         monkeypatch.setattr(module, "wreath_realizable", refuse, raising=False)
     monkeypatch.setattr(subgroup_oracle, "wreath_types", counted)
     subgroup_oracle.structural_vector.cache_clear()
+    subgroup_oracle.structural_groups.cache_clear()
     for n in (16, 24):
         for _ in range(2):
             assert max_family_intransitive_imprimitive(n).t_max == DESCRIPTOR_T[n]
     shapes_24 = [(2, 12), (3, 8), (4, 6), (6, 4), (8, 3), (12, 2)]
     assert built == [(2, 8), (4, 4), (8, 2)] + shapes_24
+
+
+def test_descriptor_search_caches_groups_not_vectors():
+    # a degree's groups are built once and kept; its structural vector, with
+    # its {parts: bits} dict, is built for the walk and not kept
+    structural_groups = subgroup_oracle.structural_groups
+    structural_groups.cache_clear()
+    subgroup_oracle.structural_vector.cache_clear()
+    for n in (16, 24):
+        cold = max_family_intransitive_imprimitive(n)
+        warm = max_family_intransitive_imprimitive(n)
+        assert warm == cold  # nodes, prunes and witnesses included
+    info = structural_groups.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+    assert subgroup_oracle.structural_vector.cache_info().currsize == 0
+    assert isinstance(structural_groups(24), tuple)
+
+
+@pytest.mark.parametrize("bad", [16.0, "16", True, None])
+def test_non_integer_degree_is_refused_before_any_work(bad):
+    # refused by the degree check itself, before any cache lookup: a cache
+    # keyed on 16 would also answer 16.0
+    searches = (max_family, mask_groups, enumerate_masks, max_family_intransitive_imprimitive)
+
+    def refused():
+        for search in searches:
+            with pytest.raises(SearchError, match="^degree must be an integer, got "):
+                search(bad)
+
+    refused()
+    for search in searches:
+        search(16)
+    refused()
 
 
 def test_descriptor_variant_cap():

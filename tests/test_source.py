@@ -334,8 +334,11 @@ def test_descriptor_path_walks_parts_tuples(monkeypatch):
         monkeypatch.setattr(module, "enumerate_partitions", refuse, raising=False)
         monkeypatch.setattr(module, "partial_sums", refuse, raising=False)
     subgroup_oracle.structural_vector.cache_clear()
+    subgroup_oracle.structural_groups.cache_clear()
     with monkeypatch.context() as patch:
-        for module in (family_search, subgroup_oracle):
+        # refused in `partitions` too, so a function-local import of it is
+        # refused as well
+        for module in (partitions, family_search, subgroup_oracle):
             patch.setattr(module, "_kept_sums", refuse, raising=False)
         r = subgroup_oracle.max_family_intransitive_imprimitive(16)
         groups = family_search.enumerate_masks(16)
