@@ -19,6 +19,8 @@ package from its `src/`:
   whose peak RSS shows what the process keeps per degree searched;
 - oracle_load: ``maximal_subgroups(n)`` for n=5..12, the set-up every exact
   oracle answer pays once per degree;
+- oracle_masks: ``incidence_mask(p)`` for every class p of n=5..12 in one
+  interpreter, from cold: the load and every class's mask;
 - certify10000: ``build_x_family(10000)``, the ``construct --json`` payload
   through a JSON round trip, ``family_from_members`` on the parsed members
   and witnesses, then ``verify_x_family`` and ``verify_mig_lower_bound``.
@@ -30,13 +32,15 @@ the largest peak RSS of a run (from `os.wait4`, so of that child alone),
 the exit code, and what the output says about the result: pytest's summary
 line for tier-1, the SHA-256 of the TSV for bounds and of the two
 certificates for certify10000, ``t_max=T nodes=N`` for a search,
-``t_desc=[T5, ..., T40] nodes=N`` (N summed) for the sweep, and
-``records=55`` for the load.  Node counts and the rest do not
-depend on the machine, so two entries can be seen to have done the same
-work.  It also records the line count of `src/migsets/*.py`, the commit of
-the checkout (with "-dirty" when its tree has uncommitted changes), the
-Python version, the CPU model and the CPU count, and replaces any entry of
-the same label in --out (default BENCH_e2e.json).  Standard library only.
+``t_desc=[T5, ..., T40] nodes=N`` (N summed) for the sweep,
+``records=55`` for the load and ``masks=260 sha256=H`` (H the first 16 hex
+digits of the SHA-256 of the list of masks) for the masks.  Node counts and
+the rest do not depend on the machine, so two entries can be seen to have
+done the same work.  It also records the line count of `src/migsets/*.py`,
+the commit of the checkout (with "-dirty" when its tree has uncommitted
+changes), the Python version, the CPU model and the CPU count, and replaces
+any entry of the same label in --out (default BENCH_e2e.json).  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -68,6 +72,14 @@ COMMANDS = {
         "-c",
         "from migsets.subgroup_oracle import maximal_subgroups; "
         "print(f'records={sum(len(maximal_subgroups(n)) for n in range(5, 13))}')",
+    ],
+    "oracle_masks": [
+        "-c",
+        "import hashlib\n"
+        "from migsets.partitions import enumerate_partitions\n"
+        "from migsets.subgroup_oracle import incidence_mask\n"
+        "masks = [incidence_mask(p) for n in range(5, 13) for p in enumerate_partitions(n)]\n"
+        "print(f'masks={len(masks)} sha256={hashlib.sha256(repr(masks).encode()).hexdigest()[:16]}')",
     ],
     "certify10000": [
         "-c",

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .partitions import _factorize
+from .partitions import _check_integer, _factorize
 
 
 # `bound_report` factorizes n and n - 1 by trial division up to their square
@@ -146,6 +146,7 @@ class BoundReport:
 
 
 def bound_report(n):
+    _check_integer(n, BoundsError)
     if n < 2:
         raise BoundsError(f"need n >= 2, got {n}")
     if n > MAX_BOUNDS_DEGREE:
@@ -174,6 +175,7 @@ def bound_report(n):
 
 
 def upper_bound(n):
+    _check_integer(n, BoundsError)
     if n < 5:
         raise BoundsError(f"upper bound applies from n=5, got {n}")
     return bound_report(n)
@@ -210,6 +212,7 @@ def final_inequality_holds(n):
 def corollary_inequality(n):
     """Every link of the chain bounding the non-floor terms of the upper
     bound, evaluated exactly, plus the closing inequality."""
+    _check_integer(n, BoundsError)
     if n < 5:
         raise BoundsError(f"need n >= 5, got {n}")
     r = bound_report(n)

@@ -41,6 +41,7 @@ from .family_search import (
 )
 from .partitions import (
     Partition,
+    _check_integer,
     _check_sum_cap,
     _divisors,
     _universe,
@@ -91,6 +92,7 @@ def lemma_partition(i, n):
     that every value outside {i, n-i} (plus n/2 in the 4i+2 case) remains
     reachable.
     """
+    _check_integer(n, ConstructionError)
     p, tag = _lemma(i, n)
     return LemmaPartition(i=i, n=n, p=p, case_tag=tag)
 
@@ -209,6 +211,7 @@ def build_x_family(n):
     deterministic order).  n > MAX_DEGREE: the block construction with its
     two repair cases.
     """
+    _check_integer(n, ConstructionError)
     if n < 5:
         raise ConstructionError(f"families start at n=5, got {n}")
     _check_sum_cap(n)  # every member's partial sums are needed

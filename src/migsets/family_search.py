@@ -84,6 +84,7 @@ from dataclasses import dataclass, field
 
 from .partitions import (
     DEFAULT_ENUMERATION_CAP,
+    _check_integer,
     _shift_copies,
     _unchecked,
     _universe,
@@ -122,8 +123,7 @@ class SearchResult:
 
 
 def _check_degree(n, *, low, high, what):
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise SearchError(f"degree must be an integer, got {n!r}")
+    _check_integer(n, SearchError)
     if n < low:
         raise SearchError(f"need n >= {low}, got {n}")
     if n > high:

@@ -282,6 +282,13 @@ def _universe(n: int) -> int:
     return (1 << (n // 2 + 1)) - 2
 
 
+def _check_integer(n, error) -> None:
+    """Refuse a degree whose type is not int (a bool too) with ``error``,
+    before any work or cache lookup: a cache keyed on 6 also answers 6.0."""
+    if type(n) is not int:
+        raise error(f"degree must be an integer, got {n!r}")
+
+
 def _check_sum_cap(n: int) -> None:
     """Refuse n past the partial-sum DP's cap, before any work on it."""
     if n > DEFAULT_SUM_CAP:
@@ -359,22 +366,12 @@ def _shift_copies(bits, a, count):
     return bits
 
 
-def _kept_sums(parts, kept):
-    """The partial sums of a parts tuple within the bits of ``kept``, a
-    window 0..k: one shift-or per part, for one tuple (the oracle's class
-    vectors); `_walk_partitions` carries them for every partition."""
-    s = 1
-    for a in parts:
-        s |= s << a & kept
-    return s
-
-
 def _walk_partitions(n, window, visit):
     """Call ``visit(parts, sums)`` on every parts tuple of n in
-    reverse-lexicographic order, (n) first and (1^n) last, with its
-    `_kept_sums` in 0..window: the one enumeration of partitions, a DFS over
-    the parts, largest first, that carries each prefix's sums, so a
-    partition costs one shift-or, and a tail of ones one `_shift_copies`."""
+    reverse-lexicographic order, (n) first and (1^n) last, with its partial
+    sums in 0..window: the one enumeration of partitions, a DFS over the
+    parts, largest first, that carries each prefix's sums, so a partition
+    costs one shift-or, and a tail of ones one `_shift_copies`."""
     kept = (1 << window + 1) - 1
 
     def rec(prefix, left, top, sums):

@@ -14,23 +14,20 @@ without a chain; generators it cannot read build the chain instead.  A
 primitive record builds its deterministic chain, for its order and cycle
 types, and must be primitive and hold an odd generator.
 
-Which structural records a class meets is one function of its parts tuple
-per degree, `structural_vector(n)`: the partial sums, which the descriptor
-search's walk carries and `partitions._kept_sums` makes for one class, and
-one lookup in a {parts: bits} dict built from `wreath_types` for the block
-stabilizers.  The descriptor search groups the partitions by it
-(`family_search.vector_groups`) and runs `family_search._search` on them.
-Each path keeps one object per degree: the oracle (n <= 12) the cached
-vector, whose dict `_parts_mask` reads, and the descriptor search only the
-tuple of groups, `structural_groups(n)`, built on a fresh vector whose dict
-is dropped after the walk (0.5 MB of groups against 7.3 MB of vector at
-n=40), so a repeated search at a degree skips the walk.
-The alternating group is decided by parity and a primitive group by the
-cycle-type set its record carries (enumerated once, when `maximal_subgroups`
-loads the record, from the chain that validated it; all have order at most
-1440).  A primitive record's kind comes from its label: affine for AGL(..),
-almost simple otherwise.  `class_meets_subgroup` decides every kind directly
-and is the reference the tests hold the masks to.
+`class_meets_subgroup` decides every kind directly: a subset stabilizer by
+the partial sums, a block stabilizer by `wreath_realizable`, the alternating
+group by parity and a primitive group by the cycle-type set its record
+carries (enumerated once, when `maximal_subgroups` loads the record, from
+the chain that validated it; all have order at most 1440).  A primitive
+record's kind comes from its label: affine for AGL(..), almost simple
+otherwise.  The oracle's masks take every bit from it.
+
+Only the descriptor search builds a vector of the structural records a
+class meets, `structural_vector(n)`: the partial sums its walk carries and
+one lookup in a {parts: bits} dict built from `wreath_types`.  It keeps
+only the groups, `structural_groups(n)` (`family_search.vector_groups`,
+0.5 MB against 7.3 MB of dict at n=40), so a repeated search at a degree
+skips the walk; the tests hold the vector to `class_meets_subgroup`.
 
 Every question about a set of classes goes through one incidence engine:
 `incidence_mask(p)` is the bitmask of the records (in `maximal_subgroups`
@@ -57,8 +54,8 @@ from .family_search import _check_degree, _search, vector_groups, witness_sets
 from .partitions import (
     DEFAULT_ENUMERATION_CAP,
     Partition,
+    _check_integer,
     _divisors,
-    _kept_sums,
     is_partial_sum,
     parity,
     wreath_realizable,
@@ -258,13 +255,11 @@ def structural_records(n):
     )
 
 
-@lru_cache(maxsize=None)
 def structural_vector(n):
     """The function (parts, sums) -> bitmask of the `structural_records(n)`
     the class meets: bit s - 1 when s in 1..(n-1)//2 is in sums, its partial
-    sums in any window that covers these (a shift-or per part if not given),
-    and the bits of the block shapes whose `wreath_types` hold parts, from
-    one dict built per degree.  Cached for the oracle's `_parts_mask`."""
+    sums in any window that covers these, and the bits of the block shapes
+    whose `wreath_types` hold parts, from one dict built per call."""
     records = structural_records(n)
     k = (n - 1) // 2  # records[:k] are S_s x S_{n-s} for s = 1..k
     kept = (1 << (k + 1)) - 1
@@ -274,9 +269,8 @@ def structural_vector(n):
             blocks[parts] = blocks.get(parts, 0) | 1 << i
     get = blocks.get
 
-    def vector(parts, sums=None):
-        sums = _kept_sums(parts, kept) if sums is None else sums & kept
-        return sums >> 1 | get(parts, 0)
+    def vector(parts, sums):
+        return (sums & kept) >> 1 | get(parts, 0)
 
     return vector
 
@@ -284,9 +278,9 @@ def structural_vector(n):
 @lru_cache(maxsize=None)
 def structural_groups(n):
     """The descriptor search's ``(bits, parts)`` groups of degree n, as a
-    tuple: `vector_groups` over a fresh `structural_vector(n)`, not the
-    cached one, so its {parts: bits} dict goes once the walk is done."""
-    return tuple(vector_groups(n, structural_vector.__wrapped__(n)))
+    tuple: `vector_groups` over `structural_vector(n)`, whose {parts: bits}
+    dict goes once the walk is done."""
+    return tuple(vector_groups(n, structural_vector(n)))
 
 
 def max_family_intransitive_imprimitive(n):
@@ -301,7 +295,7 @@ def max_family_intransitive_imprimitive(n):
     return replace(_search(n, structural_groups(n), full), descriptors=descriptors)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # so 6.0 and True miss 6's and 1's entries
 def maximal_subgroups(n):
     """Conjugacy-class representatives of the maximal subgroups of S_n.
 
@@ -309,6 +303,7 @@ def maximal_subgroups(n):
     imprimitive by block size, the alternating group, then the primitive
     groups from the bundled dataset.
     """
+    _check_integer(n, OracleError)
     if not MIN_DEGREE <= n <= MAX_DEGREE:
         raise OracleError(f"degree {n} outside supported range {MIN_DEGREE}..{MAX_DEGREE}")
     records = [*structural_records(n), _alternating_record(n)]
@@ -338,7 +333,9 @@ def class_meets_subgroup(rec, p):
 
 def _class_masks(classes, n):
     """The incidence mask of each class, in order.  Raises `OracleError` on
-    a class of another degree, a repeated class or an empty list."""
+    a non-int degree, a class of another degree, a repeated class or none."""
+    if type(n) is not int:  # the hot path pays one type test, not a call
+        _check_integer(n, OracleError)
     keys = []
     for p in classes:
         if not isinstance(p, Partition):
@@ -355,13 +352,11 @@ def _class_masks(classes, n):
 
 @lru_cache(maxsize=None)
 def _parts_mask(parts):
-    # keyed on the parts tuple, whose hash and equality run in C; the
-    # structural records come first and take their bits from their vector
+    # keyed on the parts tuple, whose hash and equality run in C
     p = Partition(parts)
-    records = maximal_subgroups(p.n)
-    mask = structural_vector(p.n)(parts)
-    for i in range(len(structural_records(p.n)), len(records)):
-        if class_meets_subgroup(records[i], p):
+    mask = 0
+    for i, rec in enumerate(maximal_subgroups(p.n)):
+        if class_meets_subgroup(rec, p):
             mask |= 1 << i
     return mask
 

@@ -1,5 +1,6 @@
-"""The one bench script, `scripts/bench_e2e.py`, run on three cheap commands."""
+"""The one bench script, `scripts/bench_e2e.py`, run on cheap commands."""
 
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -7,6 +8,8 @@ import pathlib
 import pytest
 
 from migsets.family_search import max_family
+from migsets.partitions import enumerate_partitions
+from migsets.subgroup_oracle import incidence_mask
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "bench_e2e.py"
@@ -77,3 +80,12 @@ def test_descriptor_sweep_outcome_is_its_printed_line():
     assert bench.outcome_of("search_desc_sweep", line) == "t_desc=[2, 3, 3] nodes=11"
     search = b'{"t_max": 2, "nodes_explored": 3}'
     assert bench.outcome_of("search_desc40", search) == "t_max=2 nodes=3"
+
+
+def test_oracle_masks_outcome_is_its_printed_line():
+    # the command prints the count and digest of every mask of n=5..12
+    bench = _load_bench()
+    _, _, code, outcome = bench.run_once(str(ROOT), "oracle_masks")
+    masks = [incidence_mask(p) for n in range(5, 13) for p in enumerate_partitions(n)]
+    digest = hashlib.sha256(repr(masks).encode()).hexdigest()[:16]
+    assert (code, outcome) == (0, f"masks=260 sha256={digest}")

@@ -165,6 +165,13 @@ def test_bound_report_degree_cap():
         bound_report(MAX_BOUNDS_DEGREE + 1)
 
 
+@pytest.mark.parametrize("bad", [22.0, "22", True])
+def test_non_integer_degree_is_refused(bad):
+    for fn in (bound_report, upper_bound, corollary_inequality):
+        with pytest.raises(BoundsError, match="^degree must be an integer, got "):
+            fn(bad)
+
+
 def test_report_invariants_are_checked(monkeypatch):
     # explicit checks rather than asserts, so python -O keeps them
     import migsets.bounds as b

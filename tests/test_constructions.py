@@ -262,6 +262,14 @@ def test_build_rejects_tiny_degrees():
             build_x_family(n)
 
 
+@pytest.mark.parametrize("bad", [13.0, "13", True])
+def test_non_integer_degree_is_refused(bad):
+    with pytest.raises(ConstructionError, match="^degree must be an integer, got "):
+        build_x_family(bad)
+    with pytest.raises(ConstructionError, match="^degree must be an integer, got "):
+        lemma_partition(2, bad)
+
+
 def test_verify_x_family_sweep():
     for n in range(5, 61):
         xf = build_x_family(n)

@@ -27,7 +27,6 @@ from migsets.partitions import (
     Partition,
     PartitionError,
     PartitionTooLarge,
-    _kept_sums,
     _partition_tuples,
     _walk_partitions,
     enumerate_partitions,
@@ -511,7 +510,7 @@ def test_enumerate_partitions_cap():
 @pytest.mark.parametrize("n", range(1, 31))
 def test_walk_matches_parts_tuples_and_kept_sums(n):
     # the walk visits every partition once, in reverse-lexicographic order,
-    # each with the partial sums that `_kept_sums` gives within the window:
+    # each with the partial sums that the DP gives, kept within the window:
     # the listing window 0, the descriptor window (n-1)//2 and the mask
     # window n//2; p(n) comes from the coin-change count
     counts = [1] + [0] * n
@@ -526,7 +525,9 @@ def test_walk_matches_parts_tuples_and_kept_sums(n):
         assert len(tuples) == counts[n] and tuples == sorted(set(tuples), reverse=True)
         assert all(sum(t) == n and list(t) == sorted(t, reverse=True) for t in tuples)
         assert tuples[0] == (n,) and tuples[-1] == (1,) * n
-        assert visited == [(parts, _kept_sums(parts, kept)) for parts in tuples]
+        assert visited == [
+            (parts, partial_sums(Partition(parts)).bits & kept) for parts in tuples
+        ]
         assert _partition_tuples(n) == tuples
 
 

@@ -71,11 +71,13 @@ def test_search_knobs_stay_deleted():
 
 
 # helpers folded into one kernel or test, a field nothing read, the
-# mask-group class that the (bits, representatives) pairs replaced, and the
-# seeded partial chain and its constants that Jordan's theorem replaced
+# mask-group class that the (bits, representatives) pairs replaced, the
+# seeded partial chain and its constants that Jordan's theorem replaced, and
+# the per-tuple partial sums of the oracle's vectors, which read
+# `class_meets_subgroup` instead
 FOLDED_FUNCTIONS = (
     "leave_one_out", "minimal_block_systems", "_maximal", "descriptors", "MaskGroup",
-    "order_reaches",
+    "order_reaches", "_kept_sums",
 )
 FOLDED_CONSTANTS = ("ORDER_SEED", "ORDER_PATIENCE")
 
@@ -86,7 +88,7 @@ def test_folded_helpers_stay_deleted():
     # search checks columns on index bitsets, not on maximal vectors; the
     # descriptor search witnesses by the oracle's records, not its own list;
     # every mask grouping is a plain (bits, ...) pair; `PermGroup`'s chain
-    # is the one chain engine
+    # is the one chain engine; the walk is the one source of per-tuple sums
     found = []
     for path in sorted((ROOT / "src" / "migsets").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -333,15 +335,9 @@ def test_descriptor_path_walks_parts_tuples(monkeypatch):
     for module in (partitions, family_search, subgroup_oracle):
         monkeypatch.setattr(module, "enumerate_partitions", refuse, raising=False)
         monkeypatch.setattr(module, "partial_sums", refuse, raising=False)
-    subgroup_oracle.structural_vector.cache_clear()
     subgroup_oracle.structural_groups.cache_clear()
-    with monkeypatch.context() as patch:
-        # refused in `partitions` too, so a function-local import of it is
-        # refused as well
-        for module in (partitions, family_search, subgroup_oracle):
-            patch.setattr(module, "_kept_sums", refuse, raising=False)
-        r = subgroup_oracle.max_family_intransitive_imprimitive(16)
-        groups = family_search.enumerate_masks(16)
+    r = subgroup_oracle.max_family_intransitive_imprimitive(16)
+    groups = family_search.enumerate_masks(16)
     assert r.t_max == DESCRIPTOR_T[16]
     # the mask-state DP reaches the same groups and first representatives
     assert [(bits, ps[0].parts) for bits, ps in groups] == family_search.mask_groups(16)

@@ -10,7 +10,13 @@ import itertools
 
 import pytest
 
-from migsets.partitions import Partition, _partition_tuples, enumerate_partitions, parity
+from migsets.partitions import (
+    Partition,
+    _partition_tuples,
+    enumerate_partitions,
+    parity,
+    partial_sums,
+)
 from migsets import subgroup_oracle
 from migsets.perms import PermGroup, cycle_type, format_cycles, from_cycles, is_primitive
 from migsets.subgroup_oracle import (
@@ -147,6 +153,11 @@ def test_degree_range_enforced():
         maximal_subgroups(4)
     with pytest.raises(OracleError):
         maximal_subgroups(13)
+    # refused before the cache, which would answer 6.0 and True for 6 and 1
+    maximal_subgroups(6)
+    for bad in (6.0, "6", True):
+        with pytest.raises(OracleError, match="^degree must be an integer, got "):
+            maximal_subgroups(bad)
 
 
 def test_record_orders_and_class_counts():
@@ -308,6 +319,8 @@ def test_mig_set_rejects_duplicates_and_degree_mix():
         ([], 6),
         ([P("4")], 4),  # degrees outside the bundled range 5..12
         ([P("13")], 13),
+        # a degree that is not an int, though 6.0 == 6
+        *(([P("4,1,1"), P("3,1^3"), P("3,3")], bad) for bad in (6.0, "6", True)),
     ]
     for fn in (incidence, invariably_generates, is_mig_set):
         for classes, n in bad:
@@ -340,6 +353,22 @@ def test_incidence_mask_bits_match_class_meets_subgroup():
             assert mask >> len(records) == 0
             for i, rec in enumerate(records):
                 assert (mask >> i & 1) == class_meets_subgroup(rec, p), (rec.label, p)
+
+
+def test_incidence_masks_come_from_class_meets_subgroup(monkeypatch):
+    # the oracle builds no structural vector and no wreath-type set: every
+    # bit of every mask of n=5..12 comes from `class_meets_subgroup`
+    classes = [p for n in range(5, 13) for p in enumerate_partitions(n)]
+    want = [incidence_mask(p) for p in classes]
+
+    def refuse(*args):
+        raise AssertionError("called on the oracle's path")
+
+    monkeypatch.setattr(subgroup_oracle, "structural_vector", refuse)
+    monkeypatch.setattr(subgroup_oracle, "wreath_types", refuse)
+    _parts_mask.cache_clear()
+    assert [incidence_mask(p) for p in classes] == want
+    assert _parts_mask.cache_info().currsize == len(classes) == 260
 
 
 def _scan_generates(classes, n):
@@ -393,7 +422,7 @@ def test_structural_vector_matches_class_meets_subgroup(n):
     reference = {}
     for p in enumerate_partitions(n):
         want = sum(1 << i for i, rec in enumerate(records) if class_meets_subgroup(rec, p))
-        assert vector(p.parts) == want, p.text()
+        assert vector(p.parts, partial_sums(p).bits) == want, p.text()
         reference.setdefault(want, []).append(p.parts)
     order = sorted(reference, key=lambda bits: (bin(bits).count("1"), bits))
     expected = [(bits, min(reference[bits])) for bits in order]
@@ -408,7 +437,10 @@ def test_vector_groups_match_per_tuple_grouping_to_30():
     # tuple on its own, grouped with the last tuple winning
     for n in range(23, 31):
         vector = structural_vector(n)
-        by_tuple = {vector(parts): parts for parts in _partition_tuples(n)}
+        by_tuple = {
+            vector(parts, partial_sums(Partition(parts)).bits): parts
+            for parts in _partition_tuples(n)
+        }
         expected = sorted(by_tuple.items(), key=lambda kv: (bin(kv[0]).count("1"), kv[0]))
         assert vector_groups(n, vector) == expected, n
 
