@@ -38,6 +38,7 @@ class BoundsError(ValueError):
 
 def divisor_count(n):
     """Δ(n) from the prime factorization of n."""
+    _check_integer(n, BoundsError)
     if n < 1:
         raise BoundsError(f"need n >= 1, got {n}")
     return math.prod(e + 1 for e in _factorize(n).values())
@@ -65,6 +66,7 @@ def _solve(f, lo, hi, n):
 
 def count_projective(n):
     """a_n: pairs (q, d), q a prime power, d >= 2, with 1+q+...+q^(d-1) = n."""
+    _check_integer(n, BoundsError)
     if n < 3:
         raise BoundsError(f"need n >= 3, got {n}")
     count = 1 if _is_prime_power(n - 1) else 0  # d = 2
@@ -82,6 +84,7 @@ def count_binomial(n):
 
     k stays below log2(n) because C(2k, k) > 2^k; for each k the value is
     monotone in d, so binary search finds the only possible d."""
+    _check_integer(n, BoundsError)
     if n < 2:
         raise BoundsError(f"need n >= 2, got {n}")
     count = 0
@@ -98,6 +101,7 @@ def count_perfect_power(n):
 
     n = d^k exactly when k divides every prime exponent of n, so c_n is the
     number of divisors k >= 2 of the gcd of the exponents."""
+    _check_integer(n, BoundsError)
     if n < 4:
         raise BoundsError(f"need n >= 4, got {n}")
     return divisor_count(math.gcd(*_factorize(n).values())) - 1
@@ -112,6 +116,7 @@ TABLE1 = (
 
 def table1_lookup(n):
     """Known almost simple groups beating the generic count at degree n."""
+    _check_integer(n, BoundsError)
     return [(label, k) for deg, label, k in TABLE1 if deg == n]
 
 
@@ -194,6 +199,7 @@ def _sqrt_bounds(n, precision):
 
 def final_inequality_holds(n):
     """Exact decision of 2*sqrt(n) + 3*log2(n) <= n/2 by interval refinement."""
+    _check_integer(n, BoundsError)
     if n < 2:
         raise BoundsError(f"need n >= 2, got {n}")
     rhs = Fraction(n, 2)

@@ -92,6 +92,7 @@ def lemma_partition(i, n):
     that every value outside {i, n-i} (plus n/2 in the 4i+2 case) remains
     reachable.
     """
+    _check_integer(i, ConstructionError, "i")
     _check_integer(n, ConstructionError)
     p, tag = _lemma(i, n)
     return LemmaPartition(i=i, n=n, p=p, case_tag=tag)

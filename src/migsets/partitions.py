@@ -21,7 +21,9 @@ as the partition's text, so that text is never rendered again.
 Partitions built from parts (`Partition(parts)`, `enumerate_partitions`)
 hold `parts` as a plain slot and get their runs from `multiplicities()` on
 first use, which keeps them.  The DP splits each run of c parts a into
-shifts by a, 2a, 4a, ... and the rest (binary splitting).
+shifts by a, 2a, 4a, ... and the rest (binary splitting), and `_mask_of`
+makes its `PartialSumMask` by setting the two slots, as `_unchecked` makes
+a `Partition`, without the frozen dataclass's __init__.
 `_with_top_part` adds one part above all the others to a partition whose
 mask is known: the runs get one pair in front, and the mask is the old one
 extended by one shift, with no second DP; the block members of a certified
@@ -282,11 +284,12 @@ def _universe(n: int) -> int:
     return (1 << (n // 2 + 1)) - 2
 
 
-def _check_integer(n, error) -> None:
-    """Refuse a degree whose type is not int (a bool too) with ``error``,
-    before any work or cache lookup: a cache keyed on 6 also answers 6.0."""
+def _check_integer(n, error, what="degree") -> None:
+    """Refuse an argument (a degree unless ``what`` names it otherwise) whose
+    type is not int (a bool too) with ``error``, before any work or cache
+    lookup: a cache keyed on 6 also answers 6.0."""
     if type(n) is not int:
-        raise error(f"degree must be an integer, got {n!r}")
+        raise error(f"{what} must be an integer, got {n!r}")
 
 
 def _check_sum_cap(n: int) -> None:
@@ -310,6 +313,7 @@ def enumerate_partitions(n: int):
     first partition carrying a given property is used as its canonical
     representative elsewhere in the package.  The parts are positive and
     non-increasing by construction, so each is made by `_unchecked`."""
+    _check_integer(n, PartitionError)
     if n < 1:
         raise PartitionError(f"need n >= 1, got {n}")
     if n > DEFAULT_ENUMERATION_CAP:
@@ -320,7 +324,7 @@ def enumerate_partitions(n: int):
         yield _unchecked(parts, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartialSumMask:
     """Which integers in 0..n arise as sums of sub-multisets of a partition.
 
@@ -351,6 +355,21 @@ class PartialSumMask:
     def is_symmetric(self) -> bool:
         s = self.bitstring()
         return s == s[::-1]
+
+
+# slot setters of the frozen mask, for `_mask_of`
+_set_mask_n = PartialSumMask.n.__set__
+_set_mask_bits = PartialSumMask.bits.__set__
+
+
+def _mask_of(n, bits):
+    """``PartialSumMask(n, bits)`` made by setting its two slots, without the
+    frozen __init__'s ``object.__setattr__`` calls; the caller vouches for
+    the bits."""
+    mask = object.__new__(PartialSumMask)
+    _set_mask_n(mask, n)
+    _set_mask_bits(mask, bits)
+    return mask
 
 
 def _shift_copies(bits, a, count):
@@ -399,7 +418,7 @@ def partial_sums(p: Partition) -> PartialSumMask:
     bits = 1
     for a, count in p.multiplicities():
         bits = _shift_copies(bits, a, count)
-    mask = PartialSumMask(p.n, bits)
+    mask = _mask_of(p.n, bits)
     _set_mask(p, mask)
     return mask
 
@@ -411,7 +430,7 @@ def _with_top_part(p: Partition, c: int) -> Partition:
     n = p.n + c
     _check_sum_cap(n)
     q = _of_runs(((c, 1),) + p.multiplicities(), n)
-    _set_mask(q, PartialSumMask(n, _shift_copies(partial_sums(p).bits, c, 1)))
+    _set_mask(q, _mask_of(n, _shift_copies(partial_sums(p).bits, c, 1)))
     return q
 
 
@@ -504,7 +523,18 @@ def wreath_realizable(p: Partition, a: int, b: int) -> bool:
     per group would exceed Python's recursion limit at a few thousand blocks.
     A state met again is skipped: every step removes parts, so it is not on
     the current path, and it was already explored without success.
+
+    A state whose parts left all have one value v, c of them, on B blocks
+    left, is decided at once: it is realizable iff v*c = a*B.  Equal point
+    counts are always necessary.  They suffice: with g = gcd(a, v), a group
+    of a/g parts v spanning v/g blocks obeys the rule above (v/g divides v,
+    and the a/g quotients g sum to a), and (a/g) | c, since c*(v/g) =
+    (a/g)*B with a/g and v/g coprime, so c/(a/g) such groups use every part
+    and span c*v/a = B blocks.  For v = 1 this says the fixed points fill
+    the blocks.  Every other state backtracks.
     """
+    _check_integer(a, PartitionError, "block size")
+    _check_integer(b, PartitionError, "block count")
     if a < 2 or b < 2:
         raise PartitionError(f"need block size and count >= 2, got a={a}, b={b}")
     if a * b != p.n:
@@ -519,11 +549,14 @@ def wreath_realizable(p: Partition, a: int, b: int) -> bool:
         elif state not in seen:
             seen.add(state)
             items, blocks_left = state
-            if not items:
-                if blocks_left == 0:
+            if len(items) == 1:
+                ((v, c),) = items
+                if v * c == a * blocks_left:
                     return True
-            else:
+            elif items:
                 stack.append(_next_states(items, blocks_left, a))
+            elif blocks_left == 0:
+                return True
     return False
 
 
@@ -537,6 +570,8 @@ def wreath_types(a: int, b: int) -> set:
     Taking the groups one at a time, each in increasing k, builds every
     multiset of groups once.  Each set holds at most p(ab) types, so ab is
     capped like partition enumeration."""
+    _check_integer(a, PartitionError, "block size")
+    _check_integer(b, PartitionError, "block count")
     if a < 2 or b < 2:
         raise PartitionError(f"need block size and count >= 2, got a={a}, b={b}")
     if a * b > DEFAULT_ENUMERATION_CAP:

@@ -167,7 +167,17 @@ def test_bound_report_degree_cap():
 
 @pytest.mark.parametrize("bad", [22.0, "22", True])
 def test_non_integer_degree_is_refused(bad):
-    for fn in (bound_report, upper_bound, corollary_inequality):
+    for fn in (
+        bound_report,
+        upper_bound,
+        corollary_inequality,
+        divisor_count,
+        count_projective,
+        count_binomial,
+        count_perfect_power,
+        table1_lookup,
+        final_inequality_holds,
+    ):
         with pytest.raises(BoundsError, match="^degree must be an integer, got "):
             fn(bad)
 

@@ -270,6 +270,12 @@ def test_non_integer_degree_is_refused(bad):
         lemma_partition(2, bad)
 
 
+@pytest.mark.parametrize("bad", [2.0, "2", True])
+def test_lemma_non_integer_i_is_refused(bad):
+    with pytest.raises(ConstructionError, match="^i must be an integer, got "):
+        lemma_partition(bad, 13)
+
+
 def test_verify_x_family_sweep():
     for n in range(5, 61):
         xf = build_x_family(n)
@@ -342,8 +348,7 @@ def test_verify_mig_lower_bound_replay_sweep():
 
 
 def test_verify_mig_lower_bound_degree_4000():
-    # the block checks backtrack over up to n/2 groups, more levels than
-    # Python's recursion limit allows
+    # 2000 blocks of 2 and 2 blocks of 2000, among the 22 block sizes
     cert = verify_mig_lower_bound(build_x_family(4000))
     assert all(v["pass"] for v in cert["checks"].values())
     assert "2002,1^1998 fits no S_2000 wr S_2" in cert["checks"]["blocks"]["detail"]

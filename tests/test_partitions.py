@@ -27,6 +27,7 @@ from migsets.partitions import (
     Partition,
     PartitionError,
     PartitionTooLarge,
+    _mask_of,
     _partition_tuples,
     _walk_partitions,
     enumerate_partitions,
@@ -38,6 +39,7 @@ from migsets.partitions import (
     wreath_realizable,
     wreath_types,
 )
+from migsets import partitions
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +630,22 @@ def test_is_symmetric_rejects_lopsided_mask():
     assert PartialSumMask(3, 0b1001).is_symmetric()
 
 
+def test_mask_of_is_the_dataclass_mask():
+    # the DP's masks are made through their slots; they must be the same
+    # values the frozen dataclass makes
+    for n, bits in [(7, 0b10110111), (1, 0b11), (12, partial_sums(Partition([5, 4, 3])).bits)]:
+        made, built = _mask_of(n, bits), PartialSumMask(n, bits)
+        assert type(made) is PartialSumMask
+        assert made == built and hash(made) == hash(built) and repr(made) == repr(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            made.bits = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            made.n = 3
+        assert pickle.loads(pickle.dumps(made)) == built
+        assert copy.deepcopy(made) == built
+    assert type(partial_sums(Partition([5, 4, 3]))) is PartialSumMask
+
+
 # ---------------------------------------------------------------------------
 # parity
 
@@ -785,10 +803,89 @@ def test_wreath_rejects_bad_arguments():
         wreath_realizable(Partition([6]), 1, 6)
 
 
+def _realizable_by_plain_backtracking(p, a, b):
+    """Today's grouping step expanded at every state, with no state decided
+    early: the reference for the one-value rule."""
+    seen = set()
+    stack = [iter([(p.multiplicities(), b)])]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+        elif state not in seen:
+            seen.add(state)
+            items, blocks_left = state
+            if items:
+                stack.append(partitions._next_states(items, blocks_left, a))
+            elif blocks_left == 0:
+                return True
+    return False
+
+
+def test_wreath_one_value_rule_vs_plain_backtracking():
+    # every member of the constructed families at every block size, where the
+    # tail class (n - top, 1^top) ends in a one-value state
+    for n in range(13, 301, 7):
+        for p in build_x_family(n).members:
+            for a in range(2, n // 2 + 1):
+                if n % a == 0:
+                    expected = _realizable_by_plain_backtracking(p, a, n // a)
+                    assert wreath_realizable(p, a, n // a) is expected, (p, a)
+    # 3^60 on 36 blocks of 5 after the group {4, 1}: five 3-cycles span three
+    # blocks
+    p = Partition.from_text("4,3^60,1")
+    assert wreath_realizable(p, 5, 37) is True
+    assert _realizable_by_plain_backtracking(p, 5, 37) is True
+
+
+def _count_expansions(monkeypatch):
+    calls = []
+    real = partitions._next_states
+
+    def counted(items, blocks_left, a):
+        calls.append(items)
+        return real(items, blocks_left, a)
+
+    monkeypatch.setattr(partitions, "_next_states", counted)
+    return calls
+
+
+def test_wreath_one_value_states_are_not_expanded(monkeypatch):
+    calls = _count_expansions(monkeypatch)
+    # the group {142} on 71 blocks leaves 1^138 on 69 blocks, decided at once
+    assert wreath_realizable(Partition.from_text("142,1^138"), 2, 140) is True
+    assert len(calls) <= 1
+    calls.clear()
+    # one value from the start: no state is expanded
+    assert wreath_realizable(Partition.from_text("2^3000"), 2, 3000) is True
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad", [2.0, "2", True])
+def test_wreath_non_integer_arguments_are_refused(bad):
+    p = Partition([6])
+    with pytest.raises(PartitionError, match="^block size must be an integer, got "):
+        wreath_realizable(p, bad, 3)
+    with pytest.raises(PartitionError, match="^block count must be an integer, got "):
+        wreath_realizable(p, 3, bad)
+    with pytest.raises(PartitionError, match="^block size must be an integer, got "):
+        wreath_types(bad, 3)
+    with pytest.raises(PartitionError, match="^block count must be an integer, got "):
+        wreath_types(3, bad)
+
+
+@pytest.mark.parametrize("bad", [6.0, "6", True])
+def test_enumerate_partitions_non_integer_degree_is_refused(bad):
+    with pytest.raises(PartitionError, match="^degree must be an integer, got "):
+        list(enumerate_partitions(bad))
+
+
 def test_wreath_many_blocks():
-    # one backtracking step per group, 3000 groups deep
     assert wreath_realizable(Partition([2] * 3000), 2, 3000) is True
     assert wreath_realizable(Partition([2] * 2999 + [1, 1]), 3, 2000) is True
+    # two values to the end: one backtracking step per group {3, 1}, 2000
+    # groups deep, past Python's recursion limit
+    assert wreath_realizable(Partition.from_text("3^2000,1^2000"), 4, 2000) is True
 
 
 @pytest.mark.parametrize(
