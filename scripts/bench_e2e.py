@@ -1,13 +1,17 @@
-"""Record the end-to-end numbers of one checkout: its `src/` line count and
-the wall time and peak RSS of tier-1, `migsets repro`, the `bounds` sweep,
-the wide exact searches and the oracle's maximal-subgroup load.
+"""Record the end-to-end numbers of one checkout, or of two side by side:
+its `src/` line count and the wall time and peak RSS of tier-1, `migsets
+repro`, the `bounds` sweep, the wide exact searches and the oracle's
+maximal-subgroup load.
 
     python3 scripts/bench_e2e.py --label change
-    python3 scripts/bench_e2e.py --label parent --checkout ../parent
+    python3 scripts/bench_e2e.py --label parent --checkout ../parent \
+        --label change --checkout .
 
-Each command runs RUNS = 3 times, one at a time, in a fresh interpreter
-started in --checkout (default: .), the repository root, that imports the
-package from its `src/`:
+Each command runs RUNS = 3 times per checkout, one run at a time, in a
+fresh interpreter started in --checkout (default: .), the repository root,
+that imports the package from its `src/`.  With two checkouts, each command
+alternates between them run by run, and the one that goes first swaps on
+every run, so host drift falls on both entries alike.  The commands:
 
 - tier1: ``python -m pytest -q --continue-on-collection-errors``;
 - repro: ``migsets repro``;
@@ -39,8 +43,8 @@ the rest do not depend on the machine, so two entries can be seen to have
 done the same work.  It also records the line count of `src/migsets/*.py`,
 the commit of the checkout (with "-dirty" when its tree has uncommitted
 changes), the Python version, the CPU model and the CPU count, and replaces
-any entry of the same label in --out (default BENCH_e2e.json).  Standard
-library only.
+any entry of the same label in --out (default BENCH_e2e.json), one entry
+per label.  Standard library only.
 """
 
 from __future__ import annotations
@@ -164,10 +168,21 @@ def run_once(checkout, name):
     return wall, usage.ru_maxrss / 1024, child.returncode, outcome_of(name, out)
 
 
-def measure(checkout, name):
+def measure(checkouts, name):
+    """One row per checkout for command ``name``: RUNS runs in each, the
+    checkouts alternating run by run, the first of them swapped on every
+    run."""
+    runs = [[] for _ in checkouts]
+    for r in range(RUNS):
+        order = list(enumerate(checkouts))
+        for k, checkout in order[::-1] if r % 2 else order:
+            runs[k].append(run_once(checkout, name))
+    return [summarize(name, rs) for rs in runs]
+
+
+def summarize(name, runs):
     walls, rss, codes, outcomes = [], [], set(), set()
-    for _ in range(RUNS):
-        wall, peak, code, outcome = run_once(checkout, name)
+    for wall, peak, code, outcome in runs:
         walls.append(round(wall, 3))
         rss.append(peak)
         codes.add(code)
@@ -187,30 +202,47 @@ def measure(checkout, name):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--label", required=True, help="name of the entry, e.g. parent or change")
-    ap.add_argument("--checkout", default=".", help="root of the checkout to measure")
+    ap.add_argument(
+        "--label",
+        action="append",
+        required=True,
+        help="name of the entry, e.g. parent or change; once per checkout, at most twice",
+    )
+    ap.add_argument(
+        "--checkout",
+        action="append",
+        help="root of the checkout to measure (default: .); once per label",
+    )
     ap.add_argument("--out", default="BENCH_e2e.json")
     args = ap.parse_args(argv)
-    checkout = os.path.abspath(args.checkout)
-    if not os.path.isdir(os.path.join(checkout, "src", "migsets")):
-        ap.error(f"no src/migsets package in {checkout}")
-    entry = {
-        "label": args.label,
-        "commit": commit_of(checkout),
-        "python": platform.python_version(),
-        "cpu": cpu_model(),
-        "nproc": os.cpu_count(),
-        "src_lines": src_lines(checkout),
-    }
+    labels, checkouts = args.label, args.checkout or ["."]
+    if len(labels) > 2 or len(labels) != len(checkouts) or len(set(labels)) != len(labels):
+        ap.error("give one or two distinct --label values, each with its own --checkout")
+    checkouts = [os.path.abspath(c) for c in checkouts]
+    for checkout in checkouts:
+        if not os.path.isdir(os.path.join(checkout, "src", "migsets")):
+            ap.error(f"no src/migsets package in {checkout}")
+    entries = [
+        {
+            "label": label,
+            "commit": commit_of(checkout),
+            "python": platform.python_version(),
+            "cpu": cpu_model(),
+            "nproc": os.cpu_count(),
+            "src_lines": src_lines(checkout),
+        }
+        for label, checkout in zip(labels, checkouts)
+    ]
     for name in COMMANDS:
-        entry[name] = measure(checkout, name)
-        print(name, json.dumps(entry[name]), flush=True)
+        for entry, row in zip(entries, measure(checkouts, name)):
+            entry[name] = row
+            print(entry["label"], name, json.dumps(row), flush=True)
     try:
         with open(args.out) as fh:
             bench = json.load(fh)
     except FileNotFoundError:
         bench = {"command": "python3 scripts/bench_e2e.py", "entries": []}
-    bench["entries"] = [e for e in bench["entries"] if e["label"] != args.label] + [entry]
+    bench["entries"] = [e for e in bench["entries"] if e["label"] not in labels] + entries
     with open(args.out, "w") as fh:
         json.dump(bench, fh, indent=2)
         fh.write("\n")

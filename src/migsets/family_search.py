@@ -23,9 +23,15 @@ largest family is the largest witness set (up to property (1)), and witness
 sets are closed under subsets.  The search is one DFS over increasing
 universe bits that adds a bit only when every column of the enlarged set
 still has a vector.  A node holds, as bitsets of vector positions, the
-vectors having every bit of B and per column of B those fitting it, so
-adding bit c is one AND per column.  The one bound cuts a branch when
-len(B) plus the bits left cannot beat the incumbent.
+vectors having every bit of B and per column of B those fitting it.  A
+child c is checked on its own fit first (the vectors having B and lacking
+c), then one chosen column at a time, ANDing in the vectors having c, and
+is dropped at the first empty fit.  The one bound cuts a branch when
+len(B) plus the bits left cannot beat the incumbent; its cut index is
+recomputed only after a child returns, since only a child grows the
+incumbent.  Each vector's row of binary digits is padded by a top bit, so
+`bin()` spells every row in the same width and a column is one slice of
+the rows joined.
 
 Those bitsets start as wide as the number of vectors (130,631 bits at
 n=80), but below a node only its *live* vectors -- those in any of its
@@ -184,16 +190,20 @@ def mask_groups(n):
 
     def rec(left, top, sums):
         # parts so far sum to n - left with partial sums `sums`; add a part
-        # a <= top, smallest first
-        for a in range(1, top + 1):
+        # a <= top, smallest first.  a = 1 leaves only ones, each adding
+        # every sum + 1; a larger a leaving at most one 1 closes at once
+        mask = _shift_copies(sums, 1, left) & universe
+        if mask not in first:
+            first[mask] = (*parts, *(1,) * left)
+        for a in range(2, top + 1):
             rest = left - a
             s = (sums | sums << a) & kept
-            t = a if a < rest else rest
-            if t <= 1:  # done, or only ones follow: each adds every sum + 1
-                mask = _shift_copies(s, 1, rest) & universe
+            if rest <= 1:
+                mask = (s | s << rest) & universe
                 if mask not in first:
                     first[mask] = (*parts, a, *(1,) * rest)
                 continue
+            t = a if a < rest else rest
             key = (s << width | rest) << width | t
             if key in seen:
                 continue
@@ -254,8 +264,8 @@ def _search(n, groups, universe):
     # the vectors are indexed by position: position j is group index[j],
     # and index ascends, so a bitset's lowest position is its lowest group
     w = universe.bit_length()
-    spec = f"0{w}b"
-    rows = [format(bits & universe, spec) for bits, _ in groups]
+    top = 1 << w  # pads each row to "0b1" and w digits
+    rows = [bin(bits & universe | top) for bits, _ in groups]
     cols = _bits(universe)
     best = []  # the incumbent's fits, over the positions of best_index
     best_index = None
@@ -263,11 +273,11 @@ def _search(n, groups, universe):
 
     def columns(index):
         # per column, the positions whose vector holds its bit, and those
-        # whose vector lacks it: the vectors' rows of binary digits joined,
-        # last first, so column b is every w-th digit, and building it
-        # costs no big-int arithmetic
+        # whose vector lacks it: the vectors' padded rows joined, last
+        # first, so column b is every (w + 3)-th character, and building
+        # it costs no big-int arithmetic
         joined = "".join([rows[k] for k in reversed(index)])
-        has = [int(joined[w - 1 - b :: w] or "0", 2) for b in cols]
+        has = [int(joined[w + 2 - b :: w + 3] or "0", 2) for b in cols]
         full = (1 << len(index)) - 1
         return index, has, [full ^ h for h in has]
 
@@ -288,14 +298,27 @@ def _search(n, groups, universe):
                 view = index, has, lacks = columns([index[j] for j in _bits(live)])
                 full = (1 << len(index)) - 1
                 common, fits = witness_sets([has[c] for c in chosen], full)
+        # the bound: column i on cannot beat the incumbent, which only a
+        # child can grow
+        stop = len(fits) + len(has) - len(best)
         for i in range(chosen[-1] + 1 if chosen else 0, len(has)):
-            if len(fits) + len(has) - i <= len(best):
+            if i >= stop:
                 cuts += 1
                 return
+            own = common & lacks[i]
+            if not own:
+                continue
             h = has[i]
-            grown = [f & h for f in fits] + [common & lacks[i]]
-            if all(grown):
+            grown = []
+            for f in fits:
+                f &= h
+                if not f:
+                    break
+                grown.append(f)
+            else:
+                grown.append(own)
                 rec(chosen + (i,), grown, common & h, view)
+                stop = len(fits) + len(has) - len(best)
 
     rec((), [], (1 << len(groups)) - 1, columns(range(len(groups))))
     # the first pick: each column's lowest group index, listed in group order
@@ -330,16 +353,24 @@ def max_family(n):
 
 
 def iter_families(n, size):
-    """All valid families of exactly the given size, in deterministic order:
-    lexicographic over mask indices, then over representative choices."""
+    """An iterator over all valid families of exactly the given size, in
+    deterministic order: lexicographic over mask indices, then over
+    representative choices.  The call groups the masks, so a bad n or size
+    is refused by it, not by the first `next()`."""
+    _check_integer(size, SearchError, "family size")
     if size < 1:
         raise SearchError("family size must be positive")
+    groups = enumerate_masks(n)
     universe = _universe(n)
-    for combo in itertools.combinations(enumerate_masks(n), size):
-        masks, representatives = zip(*combo)
-        common, wsets = witness_sets(masks, universe)
-        if common == 0 and all(wsets):
-            yield from itertools.product(*representatives)
+
+    def families():
+        for combo in itertools.combinations(groups, size):
+            masks, representatives = zip(*combo)
+            common, wsets = witness_sets(masks, universe)
+            if common == 0 and all(wsets):
+                yield from itertools.product(*representatives)
+
+    return families()
 
 
 def max_family_bruteforce(n):

@@ -308,11 +308,13 @@ def _partition_tuples(n: int):
 
 
 def enumerate_partitions(n: int):
-    """Yield all partitions of n, parts descending, in reverse-lexicographic
-    order: (n) first, (1^n) last.  The order is part of the contract; the
-    first partition carrying a given property is used as its canonical
-    representative elsewhere in the package.  The parts are positive and
-    non-increasing by construction, so each is made by `_unchecked`."""
+    """An iterator over all partitions of n, parts descending, in
+    reverse-lexicographic order: (n) first, (1^n) last; a bad n is refused
+    by the call, not by the first `next()`.  The order is part of the
+    contract; the first partition carrying a given property is used as its
+    canonical representative elsewhere in the package.  The parts are
+    positive and non-increasing by construction, so each is made by
+    `_unchecked`."""
     _check_integer(n, PartitionError)
     if n < 1:
         raise PartitionError(f"need n >= 1, got {n}")
@@ -320,8 +322,7 @@ def enumerate_partitions(n: int):
         raise PartitionTooLarge(
             f"partition enumeration capped at {DEFAULT_ENUMERATION_CAP}, got n={n}"
         )
-    for parts in _partition_tuples(n):
-        yield _unchecked(parts, n)
+    return (_unchecked(parts, n) for parts in _partition_tuples(n))
 
 
 @dataclass(frozen=True, slots=True)

@@ -72,6 +72,49 @@ def test_bench_entry(tmp_path, monkeypatch, capsys):
     assert "no src/migsets package" in capsys.readouterr().err
 
 
+def test_two_checkouts_interleave_their_runs(tmp_path, monkeypatch, capsys):
+    # each command alternates between the checkouts run by run, the first
+    # of them swapped on every run, and each label gets its own entry
+    bench = _load_bench()
+    search5 = ["-c", bench.CLI, "search", "--n", "5", "--json"]
+    monkeypatch.setattr(bench, "COMMANDS", {"search5": search5})
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "src").symlink_to(ROOT / "src")
+    calls = []
+    real = bench.run_once
+
+    def recorded(checkout, name):
+        calls.append((checkout, name))
+        return real(checkout, name)
+
+    monkeypatch.setattr(bench, "run_once", recorded)
+    out = tmp_path / "bench.json"
+    argv = ["--label", "parent", "--checkout", str(other), "--label", "change"]
+    assert bench.main([*argv, "--checkout", str(ROOT), "--out", str(out)]) == 0
+    a, b = str(other), str(ROOT)
+    assert calls == [(c, "search5") for c in (a, b, b, a, a, b)]
+    entries = json.loads(out.read_text())["entries"]
+    assert [e["label"] for e in entries] == ["parent", "change"]
+    r = max_family(5)
+    for entry in entries:
+        assert entry["src_lines"] == bench.src_lines(str(ROOT))
+        row = entry["search5"]
+        assert len(row["wall_s"]) == 3 and row["exit_code"] == 0
+        assert row["outcome"] == f"t_max={r.t_max} nodes={r.nodes_explored}"
+    capsys.readouterr()
+
+    for bad in (
+        ["--label", "a", "--label", "b"],
+        ["--label", "a", "--label", "a", "--checkout", b, "--checkout", b],
+        ["--label", "a", "--label", "b", "--label", "c"] + ["--checkout", b] * 3,
+    ):
+        with pytest.raises(SystemExit) as exc:
+            bench.main([*bad, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "one or two distinct --label values" in capsys.readouterr().err
+
+
 def test_descriptor_sweep_outcome_is_its_printed_line():
     # the sweep prints its own outcome; the single searches print JSON
     bench = _load_bench()

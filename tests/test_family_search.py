@@ -14,6 +14,7 @@ from migsets.constructions import build_x_family
 from migsets.family_search import (
     MAX_FAMILY_DEGREE,
     SearchError,
+    SearchResult,
     _min_bit,
     _search,
     _universe,
@@ -27,6 +28,7 @@ from migsets.family_search import (
 )
 from migsets.partitions import (
     Partition,
+    _unchecked,
     is_partial_sum,
     partial_sums,
     wreath_realizable,
@@ -177,6 +179,76 @@ def test_reindex_leaves_every_field(shrink, monkeypatch):
         assert max_family_intransitive_imprimitive(n) == described[n], n
     # 1,100 re-indexes with shrink 8 and 3,967 with shrink 1
     assert len(calls) - len(plain) - len(described) >= 1000
+
+
+def _reference_search(n, groups, universe):
+    # the DFS as first written, to pin `_search`'s node and prune counts:
+    # the bound tested at every column, the whole list of ANDs built, then
+    # all(); columns are plain bitsets over every group, never re-indexed
+    cols = [b for b in range(universe.bit_length()) if universe >> b & 1]
+    has = [sum(1 << k for k, (v, _) in enumerate(groups) if v >> b & 1) for b in cols]
+    full = (1 << len(groups)) - 1
+    best = []
+    nodes = cuts = 0
+
+    def rec(chosen, fits, common):
+        nonlocal best, nodes, cuts
+        nodes += 1
+        if len(fits) > len(best):
+            best = fits
+        for i in range(chosen[-1] + 1 if chosen else 0, len(has)):
+            if len(fits) + len(has) - i <= len(best):
+                cuts += 1
+                return
+            h = has[i]
+            grown = [f & h for f in fits] + [common & (full ^ h)]
+            if all(grown):
+                rec(chosen + (i,), grown, common & h)
+
+    rec((), [], full)
+    idxs = sorted(_min_bit(f) for f in best)
+    members = tuple(_unchecked(groups[k][1], n) for k in idxs)
+    masks = tuple(groups[k][0] for k in idxs)
+    return SearchResult(
+        n=n,
+        t_max=len(members),
+        optimal_family=members,
+        witness_assignment=_witness_map(members, witness_sets(masks, universe)[1]),
+        masks=masks,
+        nodes_explored=nodes,
+        exhaustive=True,
+        prunes={"bound": cuts},
+    )
+
+
+def _reference_cases():
+    for n in range(5, 31):
+        yield mask_groups(n), _universe(n)
+    for n in range(5, 25):
+        full = (1 << len(structural_records(n))) - 1
+        yield list(subgroup_oracle.structural_groups(n)), full
+    rng = random.Random(20)
+    for _ in range(60):
+        width = rng.randint(1, 10)
+        vectors = [rng.getrandbits(width) for _ in range(rng.randint(0, 40))]
+        yield [(v, _member(k).parts) for k, v in enumerate(vectors)], (1 << width) - 1
+
+
+@pytest.mark.parametrize("reindex", [False, True])
+def test_search_matches_reference_dfs(reindex, monkeypatch):
+    # every field, node counts and prunes included, on the mask groups, the
+    # descriptor groups and random vectors; with `reindex`, the re-index
+    # runs wherever a vector is dead
+    if reindex:
+        monkeypatch.setattr(family_search, "REINDEX_MIN_VECTORS", 0)
+        monkeypatch.setattr(family_search, "REINDEX_SHRINK", 1)
+    calls = _count_bits_calls(monkeypatch)
+    searches = 0
+    for groups, universe in _reference_cases():
+        n = sum(groups[0][1]) if groups else 0
+        assert _search(n, groups, universe) == _reference_search(n, groups, universe)
+        searches += 1
+    assert (len(calls) > searches) == reindex
 
 
 def test_search_caps_name_their_method():
@@ -537,6 +609,23 @@ def _families_by_filter(n, size):
 def test_iter_families_matches_plain_filter(n):
     for size in range(1, n // 2 + 2):
         assert list(iter_families(n, size)) == _families_by_filter(n, size)
+
+
+@pytest.mark.parametrize(
+    "n,size,message",
+    [
+        (8.0, 2, "^degree must be an integer, got 8.0$"),
+        (True, 2, "^degree must be an integer, got True$"),
+        (41, 2, "^full partition enumeration capped at n=40, got 41$"),
+        (8, True, "^family size must be an integer, got True$"),
+        (8, 2.0, "^family size must be an integer, got 2.0$"),
+        (8, 0, "^family size must be positive$"),
+    ],
+)
+def test_iter_families_refuses_at_the_call(n, size, message):
+    # the call itself raises: nothing is iterated
+    with pytest.raises(SearchError, match=message):
+        iter_families(n, size)
 
 
 def test_iter_families_deterministic():

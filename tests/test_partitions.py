@@ -880,6 +880,21 @@ def test_enumerate_partitions_non_integer_degree_is_refused(bad):
         list(enumerate_partitions(bad))
 
 
+@pytest.mark.parametrize(
+    "bad,error,message",
+    [
+        (6.0, PartitionError, "^degree must be an integer, got 6.0$"),
+        (True, PartitionError, "^degree must be an integer, got True$"),
+        (0, PartitionError, "^need n >= 1, got 0$"),
+        (41, PartitionTooLarge, "^partition enumeration capped at 40, got n=41$"),
+    ],
+)
+def test_enumerate_partitions_refuses_at_the_call(bad, error, message):
+    # the call itself raises: nothing is iterated
+    with pytest.raises(error, match=message):
+        enumerate_partitions(bad)
+
+
 def test_wreath_many_blocks():
     assert wreath_realizable(Partition([2] * 3000), 2, 3000) is True
     assert wreath_realizable(Partition([2] * 2999 + [1, 1]), 3, 2000) is True
